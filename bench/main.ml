@@ -34,9 +34,8 @@ type engine_entry = {
   nodes : int;
   exhaustive_ms : float option;  (** [None]: infeasible, not attempted *)
   pruned_ms : float option;  (** [None] on cegar-only rows (enumeration infeasible) *)
-  sat_ms : float option;  (** warm SAT-backed solve (compiled CNF, incremental re-solve) *)
   cegar_ms : float option;  (** warm dueling-solver (CEGAR) solve *)
-  cegar_iters : int option;  (** refinement rounds accumulated over the timed solves *)
+  cegar_iters : int option;  (** refinement rounds of one cold CEGAR solve *)
   agree : bool option;  (** verdict agreement across every engine that ran *)
 }
 
@@ -73,7 +72,7 @@ type certification_entry = {
   c_verdict : string;  (** "optimum" / "rejected" / "unsupported" *)
   c_bits : int option;  (** searched optimum, when one exists *)
   c_declared : int option;  (** the spec's declared budget on the instance *)
-  c_agree : bool;  (** [`Sat] and [`Cegar] agreed at the boundary *)
+  c_agree : bool;  (** the leading engine and its checker agreed at the boundary *)
 }
 
 let certification_entries : certification_entry list ref = ref []
@@ -116,7 +115,7 @@ let json_escape s =
 let write_bench_json path =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"schema\": \"lph-bench-9\",\n  \"smoke\": %b,\n" !smoke;
+  out "{\n  \"schema\": \"lph-bench-10\",\n  \"smoke\": %b,\n" !smoke;
   out "  \"sections_wall_clock_s\": {\n";
   let sections = List.rev !section_times in
   List.iteri
@@ -132,9 +131,9 @@ let write_bench_json path =
       let agree = match e.agree with Some b -> string_of_bool b | None -> "null" in
       let iters = match e.cegar_iters with Some n -> string_of_int n | None -> "null" in
       out
-        "    {\"game\": \"%s\", \"nodes\": %d, \"exhaustive_ms\": %s, \"pruned_ms\": %s, \"sat_ms\": %s, \"cegar_ms\": %s, \"cegar_iters\": %s, \"agree\": %s}%s\n"
+        "    {\"game\": \"%s\", \"nodes\": %d, \"exhaustive_ms\": %s, \"pruned_ms\": %s, \"cegar_ms\": %s, \"cegar_iters\": %s, \"agree\": %s}%s\n"
         (json_escape e.game) e.nodes (opt_ms e.exhaustive_ms) (opt_ms e.pruned_ms)
-        (opt_ms e.sat_ms) (opt_ms e.cegar_ms) iters agree
+        (opt_ms e.cegar_ms) iters agree
         (if i = List.length entries - 1 then "" else ","))
     entries;
   out "  ],\n  \"faults_overhead\": [\n";
@@ -1048,16 +1047,15 @@ let exp_lcl () =
 (* Engine comparison: exhaustive enumeration vs locality-pruned search. *)
 
 let exp_engine () =
-  section "Game engines: exhaustive vs pruned vs SAT backend vs CEGAR duel";
-  row "%-18s %-6s %-14s %-12s %-12s %-12s %-9s %-7s\n" "game" "n" "exhaustive" "pruned" "sat"
-    "cegar" "pr/cegar" "agree";
+  section "Game engines: exhaustive vs pruned vs CEGAR duel";
+  row "%-18s %-6s %-14s %-12s %-12s %-9s %-7s\n" "game" "n" "exhaustive" "pruned" "cegar"
+    "pr/cegar" "agree";
   let record e = engine_entries := e :: !engine_entries in
-  (* Pruned, sat and cegar are timed warm (averaged over repeat runs
-     after one priming call): memoised ball verdicts resp. the compiled
-     CNF and the proposer's blocking clauses persist across solves, and
-     the warm figure is what sweeps and repeated queries pay.
-     Exhaustive enumeration has no reusable state worth warming; one
-     cold run. *)
+  (* Pruned and cegar are timed warm (averaged over repeat runs after
+     one priming call): memoised ball verdicts resp. the compiled CNF
+     and the proposer's blocking clauses persist across solves, and the
+     warm figure is what sweeps and repeated queries pay. Exhaustive
+     enumeration has no reusable state worth warming; one cold run. *)
   let warm_avg ?(runs = 8) f =
     let v = f () in
     let t0 = Unix.gettimeofday () in
@@ -1070,14 +1068,13 @@ let exp_engine () =
     | Some (_, ms) -> Printf.sprintf "%9.3fms " ms
     | None -> Printf.sprintf "%11s " "--"
   in
-  let bench_case game ~nodes ?exhaustive ?pruned ?sat ?cegar ?(cegar_iters = fun () -> None) () =
+  let bench_case game ~nodes ?exhaustive ?pruned ?cegar ?(cegar_iters = fun () -> None) () =
     let ex = Option.map time_once exhaustive in
     let pr = Option.map (fun f -> warm_avg f) pruned in
-    let st = Option.map (fun f -> warm_avg f) sat in
-    let cg = Option.map (fun f -> warm_avg f) cegar in
     let iters = cegar_iters () in
+    let cg = Option.map (fun f -> warm_avg f) cegar in
     let agree =
-      match List.filter_map Fun.id [ Option.map fst ex; Option.map fst pr; Option.map fst st; Option.map fst cg ] with
+      match List.filter_map Fun.id [ Option.map fst ex; Option.map fst pr; Option.map fst cg ] with
       | [] -> None
       | v :: rest -> Some (List.for_all (( = ) v) rest)
     in
@@ -1091,8 +1088,7 @@ let exp_engine () =
       | Some (_, p), Some (_, c) -> Printf.sprintf "%8.1fx" (p /. c)
       | _ -> Printf.sprintf "%9s" "--"
     in
-    row "%-18s %-6d %s %s%s%s%s %-7s\n" game nodes ex_cell (ms_cell pr) (ms_cell st) (ms_cell cg)
-      ratio
+    row "%-18s %-6d %s %s%s%s %-7s\n" game nodes ex_cell (ms_cell pr) (ms_cell cg) ratio
       (match agree with Some b -> string_of_bool b | None -> "--");
     record
       {
@@ -1100,11 +1096,21 @@ let exp_engine () =
         nodes;
         exhaustive_ms = Option.map snd ex;
         pruned_ms = Option.map snd pr;
-        sat_ms = Option.map snd st;
         cegar_ms = Option.map snd cg;
         cegar_iters = iters;
         agree;
       }
+  in
+  (* refinement rounds of one cold solve: the duel's counters are
+     lifetime totals, so a row reports their change across the first
+     [value] call, which [bench_case] makes before the warm timings *)
+  let cegar_iters arbiter g ~ids ~universes () =
+    Option.map
+      (fun d ->
+        let before = (Game_cegar.stats d).Game_cegar.iterations in
+        ignore (Game_cegar.value d);
+        (Game_cegar.stats d).Game_cegar.iterations - before)
+      (Game_cegar.instance ~eve_first:true arbiter g ~ids ~universes)
   in
   let v2 = Arbiter.of_local_algo ~id_radius:1 (Candidates.color_verifier 2) in
   let v3 = Arbiter.of_local_algo ~id_radius:2 (Candidates.color_verifier 3) in
@@ -1112,16 +1118,10 @@ let exp_engine () =
   let game_case game g ~arbiter ~universes ~exhaustive =
     let ids = Identifiers.make_global g in
     let engine e () = Game.sigma_accepts ~engine:e arbiter g ~ids ~universes in
-    (* ℓ=1 duels route through the mode-pinned proposer too, so their
-       refinement counts are recorded like the Σ2 rows' *)
-    let cegar_iters () =
-      Option.map
-        (fun d -> (Game_cegar.stats d).Game_cegar.iterations)
-        (Game_cegar.instance ~eve_first:true arbiter g ~ids ~universes)
-    in
     bench_case game ~nodes:(Graph.card g)
       ?exhaustive:(if exhaustive then Some (engine `Exhaustive) else None)
-      ~pruned:(engine `Pruned) ~sat:(engine `Sat) ~cegar:(engine `Cegar) ~cegar_iters ()
+      ~pruned:(engine `Pruned) ~cegar:(engine `Cegar)
+      ~cegar_iters:(cegar_iters arbiter g ~ids ~universes) ()
   in
   (* a Σ1 game whose arbiter and universes come out of the Fagin
      compiler rather than a hand-written verifier *)
@@ -1130,29 +1130,26 @@ let exp_engine () =
     let compiled = Fagin.compile phi in
     let node_only t = List.for_all (fun e -> e < Graph.card g) t in
     let engine e () = Fagin.game_accepts ~engine:e ~tuple_filter:node_only compiled g ~ids in
+    let universes = Fagin.fragment_universes ~tuple_filter:node_only compiled g ~ids in
     bench_case game ~nodes:(Graph.card g)
       ?exhaustive:(if exhaustive then Some (engine `Exhaustive) else None)
-      ~pruned:(engine `Pruned) ~sat:(engine `Sat) ()
+      ~pruned:(engine `Pruned) ~cegar:(engine `Cegar)
+      ~cegar_iters:(cegar_iters compiled.Fagin.arbiter g ~ids ~universes) ()
   in
   (* Σ2: the robust-2col probe — every Eve claim carries a full ∀-block,
      so enumerating engines pay 2^n per claim where the CEGAR duel pays
-     one refutation query. Rows without pruned/sat timings are games
-     only the duel completes. *)
+     one refutation query. Rows without a pruned timing are games only
+     the duel completes. *)
   let robust = Arbiter.of_local_algo ~id_radius:1 Candidates.robust_two_col_verifier in
   let u22 = [ Candidates.color_universe 2; Candidates.color_universe 2 ] in
-  let sigma2_case game g ~exhaustive ~with_pruned ~with_sat =
+  let sigma2_case game g ~exhaustive ~with_pruned =
     let ids = Identifiers.make_global g in
     let engine e () = Game.sigma_accepts ~engine:e robust g ~ids ~universes:u22 in
-    let cegar_iters () =
-      Option.map
-        (fun d -> (Game_cegar.stats d).Game_cegar.iterations)
-        (Game_cegar.instance ~eve_first:true robust g ~ids ~universes:u22)
-    in
     bench_case game ~nodes:(Graph.card g)
       ?exhaustive:(if exhaustive then Some (engine `Exhaustive) else None)
       ?pruned:(if with_pruned then Some (engine `Pruned) else None)
-      ?sat:(if with_sat then Some (engine `Sat) else None)
-      ~cegar:(engine `Cegar) ~cegar_iters ()
+      ~cegar:(engine `Cegar)
+      ~cegar_iters:(cegar_iters robust g ~ids ~universes:u22) ()
   in
   game_case "3col-C5" (Generators.cycle 5) ~arbiter:v3 ~universes:u3 ~exhaustive:true;
   game_case "2col-C9" (Generators.cycle 9) ~arbiter:v2 ~universes:u2 ~exhaustive:true;
@@ -1164,33 +1161,26 @@ let exp_engine () =
     game_case "2col-C21" (Generators.cycle 21) ~arbiter:v2 ~universes:u2 ~exhaustive:false;
     game_case "3col-C12" (Generators.cycle 12) ~arbiter:v3 ~universes:u3 ~exhaustive:false
   end;
-  (* the SAT engine still enumerates the ∃-block (2^n leaf solves), so
-     it is only timed at C9; pruned refutes improper claims fast and
-     scales to C15 *)
-  sigma2_case "sigma2-2col-C9" (Generators.cycle 9) ~exhaustive:(not !smoke) ~with_pruned:true
-    ~with_sat:true;
+  (* pruned refutes improper claims fast and scales to C15 *)
+  sigma2_case "sigma2-2col-C9" (Generators.cycle 9) ~exhaustive:(not !smoke) ~with_pruned:true;
   if not !smoke then begin
-    sigma2_case "sigma2-2col-C13" (Generators.cycle 13) ~exhaustive:false ~with_pruned:true
-      ~with_sat:false;
+    sigma2_case "sigma2-2col-C13" (Generators.cycle 13) ~exhaustive:false ~with_pruned:true;
     sigma2_case "sigma2-2col-C15" (Generators.cycle 15) ~exhaustive:false ~with_pruned:true
-      ~with_sat:false
   end;
   (* the duel's headroom: Σ2 instances 5-6x larger than anything the
      enumerating engines finish — 2^91 outer claims are unreachable,
      the proposer answers them with a handful of solver calls *)
-  sigma2_case "sigma2-2col-C91" (Generators.cycle 91) ~exhaustive:false ~with_pruned:false
-    ~with_sat:false;
+  sigma2_case "sigma2-2col-C91" (Generators.cycle 91) ~exhaustive:false ~with_pruned:false;
   if not !smoke then
-    sigma2_case "sigma2-2col-C92" (Generators.cycle 92) ~exhaustive:false ~with_pruned:false
-      ~with_sat:false;
+    sigma2_case "sigma2-2col-C92" (Generators.cycle 92) ~exhaustive:false ~with_pruned:false;
   (* exhaustive here means |fragment universe|^9 full compiled-arbiter
      runs (~20s) — full runs only *)
   fagin_case "fagin-2col-C9" Graph_formulas.two_colorable (Generators.cycle 9)
     ~exhaustive:(not !smoke);
   row
     "Verdicts agree everywhere; pruning cuts |U|^n enumeration to ball-local backtracking,\n\
-     the compiled CNF answers warm re-queries by incremental assumption solves, and the\n\
-     CEGAR duel replaces whole quantifier blocks by counterexample-guided refinement.\n"
+     and the CEGAR duel replaces whole quantifier blocks by counterexample-guided\n\
+     refinement over one compiled CNF, answering warm re-queries incrementally.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Fault-hook overhead: the zero-overhead-when-off claim, measured.    *)
@@ -1205,10 +1195,10 @@ let exp_faults_overhead () =
   let workloads =
     [
       ("gather-r2-grid4x4", fun () -> ignore (Gather.collect ~radius:2 grid ~ids:gids ()));
-      ( "game/3col-C5-sat",
+      ( "game/3col-C5-cegar",
         fun () ->
           ignore
-            (Game.sigma_accepts ~engine:`Sat v3 c5 ~ids:ids5
+            (Game.sigma_accepts ~engine:`Cegar v3 c5 ~ids:ids5
                ~universes:[ Candidates.color_universe 3 ]) );
     ]
   in
@@ -1426,11 +1416,12 @@ let exp_scaling_curves () =
       one "cycle" "eulerian-through-reduction" (fun () -> Runner.run sim cyc ~ids:ids_cyc ());
       one "cycle" "sigma1-2col-pruned" (fun () ->
           Game.sigma_accepts ~engine:`Pruned v2 cyc ~ids:ids_cyc ~universes:u2);
-      (* the SAT engine tabulates choices^|ball| rows per node — 8n
-         entries on 2col cycles, past the LPH_SAT_BUDGET cap at 10^5 *)
+      (* the CEGAR engine's compile tabulates choices^|ball| rows per
+         node — 8n entries on 2col cycles, past the LPH_SAT_BUDGET cap
+         at 10^5 *)
       if n <= (if !smoke then 1_000 else 10_000) then
-        one "cycle" "sigma1-2col-sat" (fun () ->
-            Game.sigma_accepts ~engine:`Sat v2 cyc ~ids:ids_cyc ~universes:u2))
+        one "cycle" "sigma1-2col-cegar" (fun () ->
+            Game.sigma_accepts ~engine:`Cegar v2 cyc ~ids:ids_cyc ~universes:u2))
     sizes;
   (* core operations up to 10^6 nodes; no identifier assignment needed *)
   let core_sizes = if !smoke then [ 10_000; 100_000 ] else [ 10_000; 100_000; 1_000_000 ] in
@@ -1511,11 +1502,11 @@ let record_serving e =
     (if e.s_match then "match" else "MISMATCH")
 
 (* Solver-backed workloads where the first request pays arbiter
-   compilation (SAT tabulation resp. duel setup) and every later
+   compilation (CNF tabulation and duel setup) and every later
    request rides the shared per-(property, graph) caches. *)
 let serving_workloads =
   [
-    ( "3col-C12-sat", `Sat, Serve_protocol.Coloring 3, Serve_protocol.Cycle 12,
+    ( "3col-C12-cegar", `Cegar, Serve_protocol.Coloring 3, Serve_protocol.Cycle 12,
       Serve_protocol.Accepts Game.Eve );
     ( "sigma2-2col-C9-cegar", `Cegar, Serve_protocol.Robust_two_col, Serve_protocol.Cycle 9,
       Serve_protocol.Accepts Game.Eve );
@@ -1632,7 +1623,7 @@ let serve_smoke_run () =
   let solver_speedup =
     List.fold_left
       (fun acc e ->
-        if e.s_workload = "3col-C12-sat" || e.s_workload = "sigma2-2col-C9-cegar" then
+        if e.s_workload = "3col-C12-cegar" || e.s_workload = "sigma2-2col-C9-cegar" then
           Float.max acc e.s_speedup
         else acc)
       0. entries
@@ -1646,7 +1637,7 @@ let serve_smoke_run () =
     exit 1
   end;
   if solver_speedup < 10. then begin
-    row "[serve-smoke] FAIL: best SAT/CEGAR warm speedup %.1fx < 10x\n" solver_speedup;
+    row "[serve-smoke] FAIL: best CEGAR warm speedup %.1fx < 10x\n" solver_speedup;
     exit 1
   end;
   if not gate_ok then exit 1;
@@ -1713,9 +1704,9 @@ let scale_smoke_run () =
 (* For each probed verifier, the minimal certificate budget found by
    the optimiser next to the budget the spec declares, across the
    cycle/torus/expander families — the executable version of the
-   "how tight are the shipped proof-labeling schemes" question. Both
-   engines cross-check every boundary; the verdict and wall-clock per
-   row feed the certification regression gate. *)
+   "how tight are the shipped proof-labeling schemes" question. An
+   independent second engine cross-checks every boundary; the verdict
+   and wall-clock per row feed the certification regression gate. *)
 let exp_certification () =
   section "Certification: searched optimum vs declared budget per graph family";
   let sizes = if !smoke then [ 4 ] else Optimum.family_sizes ~default:[ 4; 9; 16 ] in
@@ -1808,10 +1799,10 @@ let bechamel_suite () =
           ignore
             (Game.sigma_accepts ~engine:`Pruned v3 c5 ~ids:ids5
                ~universes:[ Candidates.color_universe 3 ]) );
-      ( "game/3col-C5-sat",
+      ( "game/3col-C5-cegar",
         fun () ->
           ignore
-            (Game.sigma_accepts ~engine:`Sat v3 c5 ~ids:ids5
+            (Game.sigma_accepts ~engine:`Cegar v3 c5 ~ids:ids5
                ~universes:[ Candidates.color_universe 3 ]) );
       ( "game/sigma2-2col-C9-cegar",
         let robust = Arbiter.of_local_algo ~id_radius:1 Candidates.robust_two_col_verifier in

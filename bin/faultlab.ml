@@ -14,7 +14,7 @@
 
    --smoke trims the sweep for CI (two workloads, two models, the
    ambient LPH_ENGINE only) and is the configuration the faultlab-smoke
-   job runs under LPH_ENGINE={sat,cegar}. *)
+   job runs under LPH_ENGINE={pruned,cegar}. *)
 
 open Lph_core
 

@@ -96,8 +96,7 @@ let fixtures =
       [ Array.init 5 (fun u -> Bitstring.of_int (u mod 2)); Array.init 5 (fun u -> Bitstring.of_int (u mod 2)) ] );
   ]
 
-let engines =
-  [ ("exhaustive", `Exhaustive); ("pruned", `Pruned); ("sat", `Sat); ("cegar", `Cegar) ]
+let engines = [ ("exhaustive", `Exhaustive); ("pruned", `Pruned); ("cegar", `Cegar) ]
 
 let check_no_instances () =
   List.iter

@@ -4,8 +4,8 @@
    usage: loadgen.exe --socket PATH [--requests N] [--connections C]
                       [--wire packed|bits|both] [--check] [--json]
 
-   The stream cycles through a fixed template mix (SAT and CEGAR games,
-   pruned search, certificate checks) over the protocol's closed graph
+   The stream cycles through a fixed template mix (CEGAR games, pruned
+   search, certificate checks) over the protocol's closed graph
    catalog, so two runs with the same arguments issue byte-identical
    requests.  With [--check] every answer is compared against a local
    single-process [Game]/arbiter computation and any mismatch makes the
@@ -34,12 +34,11 @@ let templates =
     [ Array.init n (fun v -> if v mod 2 = 0 then "0" else "1") ]
   in
   [
-    (`Sat, Coloring 3, Cycle 12, Accepts Game.Eve);
     (`Cegar, Coloring 3, Cycle 12, Accepts Game.Eve);
-    (`Sat, Coloring 2, Cycle 9, Accepts Game.Adam);
+    (`Cegar, Coloring 2, Cycle 9, Accepts Game.Adam);
     (`Cegar, Robust_two_col, Cycle 6, Accepts Game.Eve);
     (`Pruned, Coloring 2, Cycle 8, Accepts Game.Eve);
-    (`Sat, Coloring 3, Complete 4, Accepts Game.Eve);
+    (`Cegar, Coloring 3, Complete 4, Accepts Game.Eve);
     (`Auto, Coloring 2, Cycle 10, Check (proper_2col 10));
     (`Cegar, Coloring 3, Path 7, Accepts Game.Eve);
   ]

@@ -2,7 +2,7 @@
 
    Binds a Unix-domain socket and answers game/classification queries
    over the length-prefixed wire protocol (lib/serve), sharing compiled
-   SAT/CEGAR instances and neighbourhood memos across all requests and
+   CNF/CEGAR instances and neighbourhood memos across all requests and
    connections, LRU-bounded by LPH_SERVE_CACHE_MB.
 
    usage: serve.exe --socket PATH [--cache-mb N] [--quiet]

@@ -365,7 +365,7 @@ let verify_result add (r : Optimum.result) =
   let where = Printf.sprintf "%s/%d" r.Optimum.r_family r.Optimum.r_size in
   if not r.Optimum.r_engines_agree then
     addf add D.Lower_bound_replay D.Error
-      "%s: the SAT and CEGAR engines disagree at the reported budget boundary" where;
+      "%s: the leading engine and its independent checker disagree at the budget boundary" where;
   match r.Optimum.r_verdict with
   | Optimum.Optimum { bits; proof } ->
       verify_proof add ~where proof;

@@ -154,13 +154,15 @@ let lower_bound_proof arbiter g ~ids ~universes ~eve ~budget =
       | `Unsat (core, assumed) ->
           Ok (Core { p_budget = budget; core; p_assumptions = assumed; p_cnf = Game_sat.cnf inst }))
 
+(* The requested engine leads and an engine sharing none of its
+   machinery checks it: pruned search checks CEGAR, CEGAR checks the
+   enumerating engines. *)
 let engine_pair engine =
   match Game.resolve engine with
-  | `Cegar -> (`Cegar, `Sat)
-  | `Sat | `Auto | `Exhaustive | `Pruned -> (`Sat, `Cegar)
+  | `Cegar -> (`Cegar, `Pruned)
+  | lead -> (lead, `Cegar)
 
 let engine_tag = function
-  | `Sat -> "sat"
   | `Cegar -> "cegar"
   | `Pruned -> "pruned"
   | `Exhaustive -> "exhaustive"

@@ -4,8 +4,9 @@
     budget of Eve's levels — restricting her universes to certificates
     of at most [b] characters only shrinks her strategy space — so the
     minimum budget at which the game still accepts is found by binary
-    search, each candidate budget decided by the [`Sat]/[`Cegar]
-    engines on the budget-restricted universes.
+    search, each candidate budget decided by a game engine on the
+    budget-restricted universes and the reported boundary cross-checked
+    by a second, independent engine.
 
     Lower bounds are {e machine-checkable}: rejection at budget [b] is
     witnessed by an UNSAT answer of the compiled game CNF under the
@@ -95,8 +96,9 @@ type result = {
           when the arbiter carries one, else the longest candidate in
           its universes; [None] for level-0 deciders *)
   r_engines_agree : bool;
-      (** the [`Sat] and [`Cegar] engines answered identically at the
-          optimum and at the refuted budget below it *)
+      (** the leading engine and its independent checker ([`Pruned]
+          when [`Cegar] leads, [`Cegar] otherwise) answered identically
+          at the optimum and at the refuted budget below it *)
   r_search_ms : float;  (** CPU time spent by this search *)
   r_probes : int;  (** budget decisions made by the primary engine *)
 }
@@ -122,10 +124,12 @@ val search :
   result
 (** Minimal-certificate search for one spec on one family instance
     (identifiers: {!Lph_graph.Identifiers.make_global}). The primary
-    engine is [engine] resolved against [LPH_ENGINE] when it is [`Sat]
-    or [`Cegar], else [`Sat]; the other of the two cross-checks every
-    reported boundary. Results are memoised per (spec, family, size,
-    engine) — the second call is free. *)
+    engine is [engine] resolved against [LPH_ENGINE] (pruned when
+    unset); [`Pruned] cross-checks every reported boundary when the
+    primary is [`Cegar], and [`Cegar] does otherwise — the checker
+    shares no compiled instance with the engine it checks. Results are
+    memoised per (spec, family, size, engine) — the second call is
+    free. *)
 
 val search_graph :
   ?engine:Lph_hierarchy.Game.engine ->

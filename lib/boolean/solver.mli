@@ -3,10 +3,11 @@
     saved phases persist, and [solve_with ~assumptions] decides
     satisfiability under a temporary set of forced literals without
     touching the clause database. This is the satisfiability backend
-    for SAT-GRAPH, the Cook–Levin cross-checks, and the [`Sat] game
-    engine ({!Lph_hierarchy} compiles certificate games to CNF and
-    re-solves them under assumptions selecting the outer players'
-    certificate bits).
+    for SAT-GRAPH, the Cook–Levin cross-checks, the [`Cegar] game
+    engine and the certificate-budget optimiser ({!Lph_hierarchy}
+    compiles certificate games to CNF and re-solves them under
+    assumptions selecting the outer players' certificate bits or
+    banning over-budget certificates).
 
     The solver's mutable state — watch lists, trail, activities — is
     deliberately not exported; a solver value is only usable through

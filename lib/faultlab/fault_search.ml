@@ -311,7 +311,7 @@ let search ?(seed = 0) ~model w =
 (* ------------------------------------------------------------------ *)
 (* Soundness: no in-budget plan may flip reject into accept.           *)
 
-let engines = [ ("exhaustive", `Exhaustive); ("pruned", `Pruned); ("sat", `Sat); ("cegar", `Cegar) ]
+let engines = [ ("exhaustive", `Exhaustive); ("pruned", `Pruned); ("cegar", `Cegar) ]
 
 let cert_soundness ?(engines = engines) ~model ~seeds arbiter g ~ids ~universes =
   let n = G.card g in

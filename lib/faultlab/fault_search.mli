@@ -73,7 +73,7 @@ val search : ?seed:int -> model:Lph_faults.Fault_model.t -> workload -> report
 val clear_cache : unit -> unit
 
 val engines : (string * Lph_hierarchy.Game.engine) list
-(** The four concrete engines, in canonical order. *)
+(** The three concrete engines, in canonical order. *)
 
 val cert_soundness :
   ?engines:(string * Lph_hierarchy.Game.engine) list ->

@@ -35,7 +35,7 @@ let solve ~first ~n ~universes ~arbiter =
   in
   go first universes []
 
-type engine = [ `Auto | `Exhaustive | `Pruned | `Sat | `Cegar ]
+type engine = [ `Auto | `Exhaustive | `Pruned | `Cegar ]
 
 (* [`Auto] defers to the environment (like [Parallel.jobs] and
    [LPH_JOBS]) so experiment binaries and CI legs can switch engines
@@ -47,13 +47,10 @@ let engine_of_env () : engine =
       match String.lowercase_ascii (String.trim s) with
       | "exhaustive" -> `Exhaustive
       | "pruned" -> `Pruned
-      | "sat" -> `Sat
       | "cegar" -> `Cegar
       | other ->
           invalid_arg
-            (Printf.sprintf
-               "Game: LPH_ENGINE must be \"exhaustive\", \"pruned\", \"sat\" or \"cegar\" (got %S)"
-               other))
+            (Printf.sprintf "Game: LPH_ENGINE must be exhaustive|pruned|cegar (got %S)" other))
 
 let resolve : engine -> engine = function `Auto -> engine_of_env () | e -> e
 
@@ -213,49 +210,15 @@ let solve_pruned ~first (a : Arbiter.t) g ~ids ~universes =
       in
       go first universes []
 
-(* SAT-backed game value. The innermost block is answered by the
-   compiled CNF ({!Game_sat}); outer levels are enumerated here exactly
-   as in [solve_pruned], each chosen outer assignment reaching the
-   solver as assumption literals. Falls back to pruned search when the
-   game cannot be compiled (opaque arbiter, no verdicts, or the ball
-   tables exceed the compile budget). *)
-let solve_sat ~first (a : Arbiter.t) g ~ids ~universes =
-  match (universes, Game_sat.compile a g ~ids ~universes) with
-  | [], _ | _, None -> solve_pruned ~first a g ~ids ~universes
-  | _, Some inst ->
-      let n = G.card g in
-      let rec go player universes rev_prefix =
-        match universes with
-        | [] -> assert false
-        | [ _last ] -> (
-            let prefix = List.rev rev_prefix in
-            match player with
-            | Eve -> Option.is_some (Game_sat.eve_leaf inst ~prefix)
-            | Adam -> not (Game_sat.adam_rejects inst ~prefix))
-        | universe :: rest ->
-            let options = assignments ~n universe in
-            let continue k = go (opponent player) rest (k :: rev_prefix) in
-            begin
-              match player with
-              | Eve -> Seq.exists continue options
-              | Adam -> Seq.for_all continue options
-            end
-      in
-      go first universes []
-
 (* CEGAR game value: the whole game handed to the dueling-solver loop
-   of {!Game_cegar}. The fallback ladder degrades gracefully — when
-   CEGAR cannot decide the game (opaque arbiter, over-budget compile,
-   an empty candidate slot, or an [LPH_CEGAR_MAX_ITERS] overrun) the
-   SAT engine takes over, which itself falls back to pruned search
-   when even the leaf cannot be compiled. *)
+   of {!Game_cegar}. When CEGAR cannot decide the game (opaque arbiter,
+   over-budget compile, an empty candidate slot, or an
+   [LPH_CEGAR_MAX_ITERS] overrun) pruned search answers instead, which
+   itself falls back to exhaustive enumeration on opaque arbiters. *)
 let solve_cegar ~first (a : Arbiter.t) g ~ids ~universes =
-  match universes with
-  | [] -> solve_pruned ~first a g ~ids ~universes
-  | _ -> (
-      match Game_cegar.solve ~eve_first:(first = Eve) a g ~ids ~universes with
-      | Some value -> value
-      | None -> solve_sat ~first a g ~ids ~universes)
+  match Game_cegar.solve ~eve_first:(first = Eve) a g ~ids ~universes with
+  | Some value -> value
+  | None -> solve_pruned ~first a g ~ids ~universes
 
 let check_levels (a : Arbiter.t) universes =
   if List.length universes <> a.Arbiter.levels then
@@ -266,7 +229,6 @@ let check_levels (a : Arbiter.t) universes =
 let solve_first ~first engine a g ~ids ~universes =
   match resolve engine with
   | `Exhaustive -> solve_exhaustive ~first a g ~ids ~universes
-  | `Sat -> solve_sat ~first a g ~ids ~universes
   | `Cegar -> solve_cegar ~first a g ~ids ~universes
   | `Auto | `Pruned -> solve_pruned ~first a g ~ids ~universes
 
@@ -297,9 +259,9 @@ let eve_witness ?(engine = `Auto) a g ~ids ~universes =
       in
       match resolve engine with
       | `Exhaustive -> exhaustive ()
-      | `Sat | `Cegar -> (
-          (* a one-level game has no outer block to refine: CEGAR and
-             SAT coincide on the shared compiled instance *)
+      | `Cegar -> (
+          (* a one-level game has no outer block to refine: the duel is
+             a single solve on the compiled instance *)
           match Game_sat.compile a g ~ids ~universes with
           | Some inst -> Game_sat.eve_leaf inst ~prefix:[]
           | None -> pruned ())

@@ -10,7 +10,7 @@
     licenses restricting quantifiers as long as the restrictors are
     locally repairable — the responsibility of the caller).
 
-    Two engines compute the game value. The exhaustive engine
+    Three engines compute the game value. The exhaustive engine
     ({!solve}) enumerates whole certificate assignments; its cost is
     [Π_u |universe u|] per level. The pruned engine
     ({!solve_pruned}) exploits arbiter {e locality}
@@ -19,8 +19,13 @@
     rejecting witness returned) as soon as one fully-assigned radius-r
     ball rejects, with ball verdicts memoised on ball contents and the
     top-level branching fanned out over domains ({!Lph_util.Parallel}).
-    Both engines agree on every input; the pruned one silently falls
-    back to exhaustive search for [Opaque] arbiters. *)
+    The CEGAR engine ({!solve_cegar}) compiles the game to CNF
+    ({!Game_sat}) and plays every quantifier block as a
+    counterexample-guided duel between incremental solvers
+    ({!Game_cegar}). All engines agree on every input; the pruned one
+    silently falls back to exhaustive search for [Opaque] arbiters,
+    and the CEGAR one to pruned search whenever it cannot decide a
+    game. *)
 
 type player = Eve | Adam
 
@@ -57,23 +62,20 @@ val solve :
     entry per level, in move order. With [first = Eve] this computes
     ∃k1 ∀k2 ... : arbiter [k1; k2; ...]. *)
 
-type engine = [ `Auto | `Exhaustive | `Pruned | `Sat | `Cegar ]
+type engine = [ `Auto | `Exhaustive | `Pruned | `Cegar ]
 (** [`Auto] (the default everywhere) defers to the [LPH_ENGINE]
-    environment variable — ["exhaustive"], ["pruned"], ["sat"] or
-    ["cegar"], anything else raises [Invalid_argument], unset means
-    pruned — read at each call like [LPH_JOBS]. [`Exhaustive] forces
-    enumeration (with incremental dirty-set re-verification when the
-    arbiter is ball-local: only verifiers whose r-ball meets the
-    certificate bits changed since the previous candidate are re-run,
-    via {!Lph_graph.Neighborhood.touched}). [`Pruned] requests
+    environment variable — ["exhaustive"], ["pruned"] or ["cegar"],
+    anything else raises [Invalid_argument], unset means pruned — read
+    at each call like [LPH_JOBS]. [`Exhaustive] forces enumeration
+    (with incremental dirty-set re-verification when the arbiter is
+    ball-local: only verifiers whose r-ball meets the certificate bits
+    changed since the previous candidate are re-run, via
+    {!Lph_graph.Neighborhood.touched}). [`Pruned] requests
     locality-pruned search but still falls back to exhaustive on opaque
-    arbiters. [`Sat] compiles the innermost block to CNF ({!Game_sat})
-    and answers every game-tree leaf with an incremental
-    assumption-based solver call, falling back to pruned search when
-    compilation is unavailable or over budget. [`Cegar] hands the whole
-    game — every quantifier block — to the abstraction-refinement duel
-    of {!Game_cegar}, falling back down the ladder ([`Sat], then
-    [`Pruned]) when it cannot decide the game. *)
+    arbiters. [`Cegar] compiles the game to CNF ({!Game_sat}) and hands
+    every quantifier block to the abstraction-refinement duel of
+    {!Game_cegar}, falling back to [`Pruned] when it cannot decide the
+    game. *)
 
 val resolve : engine -> engine
 (** Resolve [`Auto] against the [LPH_ENGINE] environment variable (see
@@ -94,20 +96,6 @@ val solve_pruned :
     verdict is decisive. Falls back to {!solve} when the arbiter is
     [Opaque] or carries no per-node verdict function. *)
 
-val solve_sat :
-  first:player ->
-  Arbiter.t ->
-  Lph_graph.Labeled_graph.t ->
-  ids:Lph_graph.Identifiers.t ->
-  universes:universe list ->
-  bool
-(** SAT-backed game value; agrees with {!solve} and {!solve_pruned} on
-    every input. The innermost quantifier block is compiled once to CNF
-    ({!Game_sat.compile}) and each leaf of the outer enumeration is an
-    incremental solve under assumption literals fixing that leaf's
-    outer certificates. Falls back to {!solve_pruned} when the game
-    cannot be compiled. *)
-
 val solve_cegar :
   first:player ->
   Arbiter.t ->
@@ -119,8 +107,8 @@ val solve_cegar :
     The whole game is run as {!Game_cegar}'s propose/refute/generalise
     loop between two incremental solver instances; when that engine
     reports [None] (opaque arbiter, over-budget compile, empty
-    candidate slot, iteration cap) the value comes from {!solve_sat}
-    instead, which has its own pruned fallback. *)
+    candidate slot, iteration cap) the value comes from
+    {!solve_pruned} instead. *)
 
 val sigma_accepts :
   ?engine:engine ->

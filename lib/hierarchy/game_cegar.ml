@@ -1,12 +1,12 @@
 (* The CEGAR certificate-game engine: the whole Σℓ/Πℓ game as a duel
    between incremental CDCL instances.
 
-   [`Sat] ({!Game_sat}) already answers the innermost block with a
-   solver but still ENUMERATES every outer block — Σ2 on n nodes costs
-   |U|^n leaf solves however fast each leaf is. This module removes
-   that wall with counterexample-guided abstraction refinement, the
-   2QBF playbook (RAReQS-style) instantiated on the game's ball-local
-   structure:
+   {!Game_sat} compiles a game to one CNF that answers the innermost
+   block under any fixed outer prefix; enumerating the outer blocks
+   on top of it would cost |U|^n leaf solves for Σ2 on n nodes however
+   fast each leaf is. This module avoids that wall with
+   counterexample-guided abstraction refinement, the 2QBF playbook
+   (RAReQS-style) instantiated on the game's ball-local structure:
 
    - the PROPOSER is a fork of the compiled game CNF whose mode
      variable is fixed to its player's optimism — an Eve proposer only
@@ -18,7 +18,7 @@
    - the REFUTER is the SHARED {!Game_sat} instance: the opponent's
      best reply at the innermost level is one assumption-based solve
      under the proposed prefix, so clauses it learns keep working for
-     every later refutation (and for the plain [`Sat] engine).
+     every later refutation.
    - every refutation is GENERALISED through ball locality before it
      is returned to the proposer: if the refuting model rejects at
      node [w], the rejection only read the proposal inside
@@ -42,7 +42,7 @@
    by the current proposal, so proposals never repeat and the loop is
    bounded by the (finite) number of level assignments —
    [LPH_CEGAR_MAX_ITERS] is a belt on top, and overrunning it reports
-   "don't know" so the caller can fall back to an enumerating engine. *)
+   "don't know" so the caller can fall back to pruned search. *)
 
 module G = Lph_graph.Labeled_graph
 module N = Lph_graph.Neighborhood
@@ -168,14 +168,18 @@ and nested_refute d ~proposer ~eve ~level ~prefix ~iters k =
 
 (* ---- instances ----------------------------------------------------- *)
 
-(* Keyed like the {!Game_sat} cache plus the first player (the two
-   proposers differ in their pinned mode), with the same per-entry
+(* Keyed like the {!Game_sat} cache (arbiter name AND locality, so
+   radius variants of one name stay apart) plus the first player (the
+   two proposers differ in their pinned mode), with the same per-entry
    locking discipline: the global lock only finds-or-inserts the
    entry, each instance is built once under its own lock, and solves
    on distinct instances never serialise each other. *)
 type entry = { e_lock : Mutex.t; mutable built : t option option }
 
-let cache : (string * int * string array * string list array array * bool, entry) Hashtbl.t =
+let cache :
+    ( string * Arbiter.locality * int * string array * string list array array * bool,
+      entry )
+    Hashtbl.t =
   Hashtbl.create 16
 
 let cache_lock = Mutex.create ()
@@ -217,7 +221,7 @@ let instance ~eve_first (a : Arbiter.t) g ~ids ~universes =
   let choices_key =
     Array.of_list (List.map (fun universe -> Array.init (G.card g) universe) universes)
   in
-  let key = (a.Arbiter.name, G.uid g, ids, choices_key, eve_first) in
+  let key = (a.Arbiter.name, a.Arbiter.locality, G.uid g, ids, choices_key, eve_first) in
   let entry =
     Mutex.protect cache_lock (fun () ->
         match Hashtbl.find_opt cache key with
@@ -242,7 +246,7 @@ let evict_graph ~uid =
   Mutex.protect cache_lock (fun () ->
       let removed = ref 0 in
       Hashtbl.filter_map_inplace
-        (fun (_, guid, _, _, _) e ->
+        (fun (_, _, guid, _, _, _) e ->
           if guid = uid then begin
             incr removed;
             None
@@ -267,27 +271,7 @@ let value d =
 let solve ~eve_first (a : Arbiter.t) g ~ids ~universes =
   match universes with
   | [] -> None
-  | [ _ ] -> (
-      (* one block: the duel degenerates to a single proposal — one
-         solve on the mode-pinned proposer — but running it through
-         [instance] keeps the refinement counters live (so ℓ=1 rows
-         report iterations like everyone else) and the warm instance
-         shared. An empty candidate slot refuses [instance] while
-         {!Game_sat} still compiles: answer those directly on the
-         shared instance, exactly like the [`Sat] engine. *)
-      match instance ~eve_first a g ~ids ~universes with
-      | Some d -> value d
-      | None -> (
-          match Game_sat.compile a g ~ids ~universes with
-          | None -> None
-          | Some inst ->
-              Some
-                (if eve_first then Option.is_some (Game_sat.eve_leaf inst ~prefix:[])
-                 else not (Game_sat.adam_rejects inst ~prefix:[]))))
-  | _ -> (
-      match instance ~eve_first a g ~ids ~universes with
-      | None -> None
-      | Some d -> value d)
+  | _ -> Option.bind (instance ~eve_first a g ~ids ~universes) value
 
 (* ---- observation --------------------------------------------------- *)
 

@@ -14,8 +14,8 @@
     move and loses. Alternation depth ℓ > 2 recurses with fresh forks,
     one level per duel.
 
-    Instances are cached per (arbiter, graph, identifiers, universes,
-    first player) with per-entry locks, so sweeps re-solve warm
+    Instances are cached per (arbiter, locality, graph, identifiers,
+    universes, first player) with per-entry locks, so sweeps re-solve warm
     proposers — including all blocking clauses learned so far — and
     parallel solves of distinct instances never serialise each other. *)
 
@@ -40,9 +40,7 @@ val solve :
     refinement loop overran [LPH_CEGAR_MAX_ITERS]. One-level games run
     the degenerate duel — a single unrefutable proposal on the
     mode-pinned proposer — so their refinement counters ({!stats},
-    [iterations] in particular) are recorded like every deeper game's;
-    only the empty-slot case falls back to a direct answer on the
-    shared {!Game_sat} instance. *)
+    [iterations] in particular) are recorded like every deeper game's. *)
 
 val instance :
   eve_first:bool ->

@@ -1,4 +1,5 @@
-(* The SAT-backed certificate-game engine.
+(* The compilation layer behind the CEGAR certificate-game engine and
+   the certificate-budget optimiser.
 
    The paper's distributed Cook–Levin theorem (Theorem 19) says every
    Σ1^LFO property reduces locally to SAT-GRAPH: the innermost
@@ -24,13 +25,15 @@
      every verifier accepts (Eve's move at the last level), assuming
      [~m] for one that some verifier rejects (Adam's move).
 
-   Outer quantifier levels are not re-encoded: the enumeration engine
-   walks them and fixes each outer certificate through ASSUMPTION
-   literals (the positive selector of the chosen candidate), so the
-   CNF is built once per (arbiter, graph, ids, universes) and every
-   leaf of the game tree is an incremental [Solver.solve_with] call —
-   unit propagation instantiates the outer bits, and clauses learned
-   under one prefix are reused under every later prefix. *)
+   Outer quantifier levels are not re-encoded: callers fix each outer
+   certificate through ASSUMPTION literals (the positive selector of
+   the chosen candidate), so the CNF is built once per (arbiter,
+   locality, graph, ids, universes) and every question about it is an
+   incremental [Solver.solve_with] call — unit propagation
+   instantiates the outer bits, and clauses learned under one prefix
+   are reused under every later prefix. {!Game_cegar}'s refuter asks
+   exactly these prefix questions; the optimiser adds budget bans as
+   further assumptions. *)
 
 module G = Lph_graph.Labeled_graph
 module N = Lph_graph.Neighborhood
@@ -186,8 +189,10 @@ let compile_uncached (a : Arbiter.t) g ~ids ~universes =
 
 (* Compiled instances are reused across game solves (sweeps and
    benchmarks re-solve the same graph under many prefixes), keyed on
-   the arbiter's name, the graph and the materialised universes —
-   arbiter names encode their parameters throughout this codebase.
+   the arbiter's name and locality, the graph and the materialised
+   universes. Names alone do not identify an arbiter:
+   [Local_algo.with_radius] keeps the name, so radius variants would
+   otherwise share one compiled CNF.
 
    Synchronisation is PER ENTRY: the global lock only guards the
    find-or-insert of an entry record, while the (possibly expensive)
@@ -198,7 +203,8 @@ let compile_uncached (a : Arbiter.t) g ~ids ~universes =
 
 type entry = { e_lock : Mutex.t; mutable compiled : (t, Lph_util.Error.t) result option }
 
-let cache : (string * int * string array * string list array array, entry) Hashtbl.t =
+let cache :
+    (string * Arbiter.locality * int * string array * string list array array, entry) Hashtbl.t =
   Hashtbl.create 16
 
 let cache_lock = Mutex.create ()
@@ -207,7 +213,7 @@ let compile_explain (a : Arbiter.t) g ~ids ~universes =
   let choices_key =
     Array.of_list (List.map (fun universe -> Array.init (G.card g) universe) universes)
   in
-  let key = (a.Arbiter.name, G.uid g, ids, choices_key) in
+  let key = (a.Arbiter.name, a.Arbiter.locality, G.uid g, ids, choices_key) in
   let entry =
     Mutex.protect cache_lock (fun () ->
         match Hashtbl.find_opt cache key with
@@ -234,7 +240,7 @@ let evict_graph ~uid =
   Mutex.protect cache_lock (fun () ->
       let removed = ref 0 in
       Hashtbl.filter_map_inplace
-        (fun (_, guid, _, _) e ->
+        (fun (_, _, guid, _, _) e ->
           if guid = uid then begin
             incr removed;
             None
@@ -250,7 +256,7 @@ let evict_graph ~uid =
 let graph_table_entries ~uid =
   Mutex.protect cache_lock (fun () ->
       Hashtbl.fold
-        (fun (_, guid, _, _) e acc ->
+        (fun (_, _, guid, _, _) e acc ->
           match e.compiled with
           | Some (Result.Ok t) when guid = uid -> acc + t.table_entries
           | _ -> acc)
@@ -264,8 +270,8 @@ let find_index x xs =
   go 0 xs
 
 (* Assumption literals pinning the outer levels to the certificates the
-   enumeration engine chose: the positive selector of each choice (the
-   exactly-one constraints propagate the negative ones). *)
+   caller chose: the positive selector of each choice (the exactly-one
+   constraints propagate the negative ones). *)
 let prefix_assumptions t ~prefix =
   List.concat
     (List.mapi
@@ -304,8 +310,6 @@ let eve_leaf t ~prefix =
   match solve_mode t ~prefix ~eve:true with
   | None -> None
   | Some model -> Some (model_level t model ~level:(t.levels - 1))
-
-let adam_rejects t ~prefix = Option.is_some (solve_mode t ~prefix ~eve:false)
 
 let rejecting_nodes t model =
   List.filter (fun u -> not (model (acc u))) (List.init (Array.length t.choices.(0)) Fun.id)

@@ -1,18 +1,20 @@
-(** The SAT-backed certificate-game engine: the constructive face of
-    the paper's distributed Cook–Levin theorem (Theorem 19). The
-    innermost existential block of a certificate game over explicit
-    finite universes is compiled to one CNF per (arbiter, graph,
-    identifiers, universes) — selector variables with exactly-one
-    constraints encode the per-node candidate choices, per-node
-    acceptance variables are Tseytin-bound to the tabulated radius-r
-    ball verdicts, and a mode variable switches the same instance
-    between "every verifier accepts" (Eve's last move) and "some
-    verifier rejects" (Adam's). The enumeration engine walks the outer
-    quantifier levels and fixes each chosen outer certificate through
-    {e assumption literals}, so every leaf of the game tree is an
-    incremental {!Lph_boolean.Solver.solve_with} call on the same
-    solver: the CNF is built once, and clauses learned under one outer
-    prefix keep pruning under all later ones. *)
+(** The compilation layer of the SAT-backed game engine: the
+    constructive face of the paper's distributed Cook–Levin theorem
+    (Theorem 19). A certificate game over explicit finite universes is
+    compiled to one CNF per (arbiter, locality, graph, identifiers,
+    universes) — selector variables with exactly-one constraints encode
+    the per-node candidate choices, per-node acceptance variables are
+    Tseytin-bound to the tabulated radius-r ball verdicts, and a mode
+    variable switches the same instance between "every verifier
+    accepts" (Eve's last move) and "some verifier rejects" (Adam's).
+    Callers fix outer certificates through {e assumption literals}, so
+    every question about a compiled game is an incremental
+    {!Lph_boolean.Solver.solve_with} call on the same solver: the CNF
+    is built once, and clauses learned under one outer prefix keep
+    pruning under all later ones. Two clients share it: the [`Cegar]
+    engine ({!Game_cegar}), whose refuter is this instance, and the
+    certificate-budget optimiser, which adds budget bans as further
+    assumptions. *)
 
 type t
 (** A compiled game instance: one incremental SAT solver plus the
@@ -29,9 +31,11 @@ val compile :
     the arbiter is [Opaque], exposes no per-node verdicts, or the total
     ball-table size exceeds the compile budget (default 200000 verifier
     runs; override with [LPH_SAT_BUDGET]) — callers fall back to pruned
-    search. Instances are cached on (arbiter name, graph, identifiers,
-    materialised universes), so repeated solves and parallel sweeps
-    over the same graph reuse both the CNF and its learned clauses. *)
+    search. Instances are cached on (arbiter name, arbiter locality,
+    graph, identifiers, materialised universes), so repeated solves
+    and parallel sweeps over the same graph reuse both the CNF and its
+    learned clauses, while radius variants of one arbiter (same name,
+    different [Ball r]) never share an instance. *)
 
 val compile_explain :
   Arbiter.t ->
@@ -51,11 +55,6 @@ val eve_leaf : t -> prefix:Lph_graph.Certificates.t list -> Lph_graph.Certificat
     [Invalid_argument] if a prefix certificate is outside its level's
     universe. *)
 
-val adam_rejects : t -> prefix:Lph_graph.Certificates.t list -> bool
-(** Is there a last-level assignment under which some node rejects?
-    [false] means every last-level choice is accepted — i.e. Adam has
-    no winning move at this leaf. *)
-
 val table_entries : t -> int
 (** Total number of tabulated ball configurations (the one-off compile
     cost, in verifier runs). *)
@@ -68,9 +67,9 @@ val table_entries : t -> int
     budget says so. *)
 
 val cached_instances : unit -> int
-(** Number of (arbiter, graph, ids, universes) entries currently in the
-    compile cache, including entries whose compilation failed or is
-    still in flight. *)
+(** Number of (arbiter, locality, graph, ids, universes) entries
+    currently in the compile cache, including entries whose compilation
+    failed or is still in flight. *)
 
 val evict_graph : uid:int -> int
 (** Drop every cached compile for the graph with this
@@ -110,10 +109,10 @@ val solve_model :
   prefix:Lph_graph.Certificates.t list ->
   eve:bool ->
   (Lph_boolean.Bool_formula.var -> bool) option
-(** The raw model behind {!eve_leaf}/{!adam_rejects}: a last-level
-    assignment (under the outer [prefix]) making every node accept
-    ([eve:true]) or some node reject ([eve:false]), as a full valuation
-    of the instance's variables. *)
+(** The raw model behind {!eve_leaf}: a last-level assignment (under
+    the outer [prefix]) making every node accept ([eve:true]) or some
+    node reject ([eve:false]), as a full valuation of the instance's
+    variables. *)
 
 val model_level : t -> (Lph_boolean.Bool_formula.var -> bool) -> level:int -> Lph_graph.Certificates.t
 (** Decode the certificate assignment a model selects at one level. *)

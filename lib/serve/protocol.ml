@@ -54,8 +54,8 @@ type response = {
 let what = "Serve_protocol"
 
 (* A daemon builds graphs on demand, so reject sizes a request could
-   use to exhaust the process — far above anything the SAT/CEGAR
-   engines could answer anyway. *)
+   use to exhaust the process — far above anything the solver-backed
+   engine could answer anyway. *)
 let max_request_nodes = 1 lsl 20
 
 let spec_to_string = function
@@ -187,11 +187,13 @@ let property_codec =
       | 2 -> (Raising_probe, p)
       | t -> bad_tag "property" t)
 
+(* Tag 3 named the retired enumerate-outer-blocks SAT engine; it stays
+   unassigned (an unknown tag) so old clients get a typed refusal
+   rather than a different engine. *)
 let engine_tag : Game.engine -> int = function
   | `Auto -> 0
   | `Exhaustive -> 1
   | `Pruned -> 2
-  | `Sat -> 3
   | `Cegar -> 4
 
 let engine_codec =
@@ -203,7 +205,6 @@ let engine_codec =
       | 0 -> (`Auto, p)
       | 1 -> (`Exhaustive, p)
       | 2 -> (`Pruned, p)
-      | 3 -> (`Sat, p)
       | 4 -> (`Cegar, p)
       | t -> bad_tag "engine" t)
 

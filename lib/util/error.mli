@@ -1,8 +1,9 @@
 (** Typed error taxonomy shared by every runtime layer.
 
     The wire codecs, the synchronous runner, the gather layer and the
-    SAT engine all report failures through {!exception-Error} carrying a
-    structured {!t}, so callers can distinguish malformed input
+    SAT compilation layer all report failures through
+    {!exception-Error} carrying a structured {!t}, so callers can
+    distinguish malformed input
     ([Decode_error]) from protocol violations ([Protocol_error]) and
     resource refusals ([Resource_exhausted]) without matching on
     exception message strings. Library code never lets a raw

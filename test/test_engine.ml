@@ -103,6 +103,9 @@ let with_env name value f =
   Unix.putenv name value;
   Fun.protect ~finally:(fun () -> Unix.putenv name (Option.value saved ~default:"")) f
 
+(* The SAT backend: the compilation layer ({!Game_sat}) and the CEGAR
+   engine that plays games on it, against pruned search and exhaustive
+   enumeration. *)
 let sat_suite =
   ( "engine:sat",
     [
@@ -112,61 +115,42 @@ let sat_suite =
           let a = v2 () in
           let ids = global_ids g in
           let universes = [ Candidates.color_universe 2 ] in
-          let sat = Game.sigma_accepts ~engine:`Sat a g ~ids ~universes in
-          sat = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
-          && sat = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes);
+          let cegar = Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes in
+          cegar = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
+          && cegar = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes);
       qcheck ~count:30 "pi 3col: all three engines agree"
         (arb_graph ~max_nodes:6 ())
         (fun g ->
           let a = v3 () in
           let ids = global_ids g in
           let universes = [ Candidates.color_universe 3 ] in
-          let sat = Game.pi_accepts ~engine:`Sat a g ~ids ~universes in
-          sat = Game.pi_accepts ~engine:`Pruned a g ~ids ~universes
-          && sat = Game.pi_accepts ~engine:`Exhaustive a g ~ids ~universes);
+          let cegar = Game.pi_accepts ~engine:`Cegar a g ~ids ~universes in
+          cegar = Game.pi_accepts ~engine:`Pruned a g ~ids ~universes
+          && cegar = Game.pi_accepts ~engine:`Exhaustive a g ~ids ~universes);
       qcheck ~count:25 "radius-2 verifier: all three engines agree"
         (arb_graph ~max_nodes:6 ())
         (fun g ->
           let a = Arbiter.of_local_algo ~id_radius:3 parity_r2_verifier in
           let ids = global_ids g in
           let universes = [ Game.of_choices [ "0"; "1" ] ] in
-          let sat = Game.sigma_accepts ~engine:`Sat a g ~ids ~universes in
-          sat = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
-          && sat = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
-          && Game.pi_accepts ~engine:`Sat a g ~ids ~universes
+          let cegar = Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes in
+          cegar = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
+          && cegar = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
+          && Game.pi_accepts ~engine:`Cegar a g ~ids ~universes
              = Game.pi_accepts ~engine:`Exhaustive a g ~ids ~universes);
-      qcheck ~count:20 "two-level arbiter: sat agrees with exhaustive"
-        (arb_graph ~max_nodes:4 ())
-        (fun g ->
-          let a = Arbiter.of_local_algo ~id_radius:2 two_level_verifier in
-          let ids = global_ids g in
-          let universes = [ Game.of_choices [ "0"; "1" ]; Game.of_choices [ "0"; "1" ] ] in
-          Game.sigma_accepts ~engine:`Sat a g ~ids ~universes
-          = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
-          && Game.pi_accepts ~engine:`Sat a g ~ids ~universes
-             = Game.pi_accepts ~engine:`Exhaustive a g ~ids ~universes);
+      (* a one-level cegar witness is the SAT model of the compiled
+         instance *)
       qcheck ~count:30 "sat witness is valid and matches the game value"
         (arb_graph ~max_nodes:8 ())
         (fun g ->
           let a = v2 () in
           let ids = global_ids g in
           let universes = [ Candidates.color_universe 2 ] in
-          match Game.eve_witness ~engine:`Sat a g ~ids ~universes with
+          match Game.eve_witness ~engine:`Cegar a g ~ids ~universes with
           | Some w ->
               a.Arbiter.accepts g ~ids ~certs:[ w ]
               && Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
           | None -> not (Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes));
-      quick "known cycle verdicts survive the sat engine" (fun () ->
-          List.iter
-            (fun (n, k, expected) ->
-              let g = Generators.cycle n in
-              let a = if k = 2 then v2 () else v3 () in
-              check_bool
-                (Printf.sprintf "C%d %d-colorable" n k)
-                expected
-                (Game.sigma_accepts ~engine:`Sat a g ~ids:(global_ids g)
-                   ~universes:[ Candidates.color_universe k ]))
-            [ (5, 2, false); (6, 2, true); (5, 3, true); (11, 2, false); (12, 2, true) ]);
       quick "LPH_ENGINE selects the engine under `Auto" (fun () ->
           let g = Generators.cycle 7 in
           let a = v2 () in
@@ -176,10 +160,16 @@ let sat_suite =
           List.iter
             (fun e ->
               check_bool e expected (with_env "LPH_ENGINE" e (fun () -> Game.sigma_accepts a g ~ids ~universes)))
-            [ "sat"; "pruned"; "exhaustive"; "SAT"; "cegar" ];
-          match with_env "LPH_ENGINE" "dpll" (fun () -> Game.sigma_accepts a g ~ids ~universes) with
-          | _ -> Alcotest.fail "expected Invalid_argument"
-          | exception Invalid_argument _ -> ());
+            [ "pruned"; "exhaustive"; "cegar"; "CEGAR" ];
+          (* "sat" named the retired enumerate-outer-blocks engine *)
+          List.iter
+            (fun e ->
+              match with_env "LPH_ENGINE" e (fun () -> Game.sigma_accepts a g ~ids ~universes) with
+              | _ -> Alcotest.failf "LPH_ENGINE=%s: expected Invalid_argument" e
+              | exception Invalid_argument msg ->
+                  check_bool "message lists the engines" true
+                    (String.starts_with ~prefix:"Game: LPH_ENGINE must be exhaustive|pruned|cegar" msg))
+            [ "dpll"; "sat" ]);
       quick "over-budget compiles fall back to pruned search" (fun () ->
           with_env "LPH_SAT_BUDGET" "1" (fun () ->
               (* fresh graph: the compile cache is keyed per graph *)
@@ -189,7 +179,7 @@ let sat_suite =
               let universes = [ Candidates.color_universe 2 ] in
               check_bool "compile refused" true (Game_sat.compile a g ~ids ~universes = None);
               check_bool "verdict still correct" true
-                (Game.sigma_accepts ~engine:`Sat a g ~ids ~universes)));
+                (Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes)));
       quick "compiled instance re-solves incrementally across prefixes" (fun () ->
           let g = Generators.cycle 5 in
           let a = Arbiter.of_local_algo ~id_radius:2 two_level_verifier in
@@ -225,6 +215,31 @@ let sat_suite =
               match Game_sat.eve_leaf inst ~prefix:[ [| "2"; "0"; "0"; "0"; "0" |] ] with
               | _ -> Alcotest.fail "expected Invalid_argument"
               | exception Invalid_argument _ -> ()));
+      quick "radius variants of one arbiter never share a compiled instance" (fun () ->
+          (* [Local_algo.with_radius] keeps the arbiter's name: a cache
+             keyed on the name alone answered the radius-0 game with the
+             radius-1 CNF compiled first *)
+          let g = Generators.cycle 5 in
+          let ids = global_ids g in
+          let universes = [ Candidates.color_universe 2 ] in
+          let r1 = v2 () in
+          let r0 =
+            Arbiter.of_local_algo ~id_radius:1
+              (Local_algo.with_radius (Some 0) (Candidates.color_verifier 2))
+          in
+          check_bool "radius 1: C5 is not 2-colourable" false
+            (Game.sigma_accepts ~engine:`Cegar r1 g ~ids ~universes);
+          (* radius 0: each verifier sees only its own colour *)
+          List.iter
+            (fun e ->
+              check_bool "radius 0 accepts every colouring" true
+                (Game.sigma_accepts ~engine:e r0 g ~ids ~universes))
+            [ `Cegar; `Pruned; `Exhaustive ];
+          match (Game_sat.compile r1 g ~ids ~universes, Game_sat.compile r0 g ~ids ~universes) with
+          | Some i1, Some i0 ->
+              check_int "radius-1 instance" 1 (Game_sat.radius i1);
+              check_int "radius-0 instance" 0 (Game_sat.radius i0)
+          | _ -> Alcotest.fail "both radius variants should compile");
     ] )
 
 (* a Σ2 game that is always false but keeps an optimistic Eve proposer
@@ -258,11 +273,11 @@ let cegar_suite =
           let ids = global_ids g in
           let universes = [ Candidates.color_universe 2 ] in
           let cegar = Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes in
-          cegar = Game.sigma_accepts ~engine:`Sat a g ~ids ~universes
+          cegar = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
           && cegar = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
           && Game.pi_accepts ~engine:`Cegar a g ~ids ~universes
              = Game.pi_accepts ~engine:`Pruned a g ~ids ~universes);
-      qcheck ~count:20 "two-level arbiter: all four engines agree"
+      qcheck ~count:20 "two-level arbiter: all three engines agree"
         (arb_graph ~max_nodes:4 ())
         (fun g ->
           let a = Arbiter.of_local_algo ~id_radius:2 two_level_verifier in
@@ -273,7 +288,7 @@ let cegar_suite =
             (fun e ->
               cegar_s = Game.sigma_accepts ~engine:e a g ~ids ~universes:bit_universes
               && cegar_p = Game.pi_accepts ~engine:e a g ~ids ~universes:bit_universes)
-            [ `Exhaustive; `Pruned; `Sat ]);
+            [ `Exhaustive; `Pruned ]);
       qcheck ~count:25 "robust-2col Σ2 value is exactly 2-COLORABLE"
         (arb_graph ~max_nodes:5 ())
         (fun g ->
@@ -290,7 +305,7 @@ let cegar_suite =
                 expected
                 (Game.sigma_accepts ~engine:`Cegar a g ~ids:(global_ids g)
                    ~universes:[ Candidates.color_universe k ]))
-            [ (5, 2, false); (6, 2, true); (5, 3, true) ];
+            [ (5, 2, false); (6, 2, true); (5, 3, true); (11, 2, false); (12, 2, true) ];
           List.iter
             (fun (n, expected) ->
               let g = Generators.cycle n in

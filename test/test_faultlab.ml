@@ -3,7 +3,7 @@
 
    Four claims are under test. (1) Byzantine soundness: no fault plan
    within a model's budget f turns a no-instance's reject into an
-   accept, for any of the four game engines — certificates are
+   accept, for any of the three game engines — certificates are
    self-certifying, so tampering can only lose. (2) Crash-stop quorum
    semantics: [Runner.run_outcome ~quorum] answers [Degraded] exactly
    when every fired fault is a crash-stop of at most [quorum] nodes
@@ -30,7 +30,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* ------------------------------------------------------------------ *)
-(* Byzantine soundness across all four engines (qcheck over seeds)     *)
+(* Byzantine soundness across all three engines (qcheck over seeds)    *)
 
 let byzantine_models =
   [ Fault_model.make ~f:1 Fault_model.Byzantine_corrupt;

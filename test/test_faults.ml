@@ -299,7 +299,7 @@ let wire_suite =
 (* Certificate soundness: tampering never flips a no-instance to
    accept, for every verifier and every engine *)
 
-let engines = [ `Exhaustive; `Pruned; `Sat ]
+let engines = [ `Exhaustive; `Pruned; `Cegar ]
 
 let attack_certs plan base = Array.mapi (fun u c -> fst (Fault_plan.tamper_cert plan ~node:u c)) base
 
@@ -428,12 +428,14 @@ let budget_suite =
               | Error (Error.Resource_exhausted { what = "Game_sat"; limit = 1; _ }) -> ()
               | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
               | Ok _ -> Alcotest.fail "expected a budget refusal"));
-      quick "LPH_ENGINE=sat under a tripped budget still decides correctly" (fun () ->
+      quick "LPH_ENGINE=cegar under a tripped budget falls back to pruned search" (fun () ->
           with_env "LPH_SAT_BUDGET" "1" (fun () ->
-              with_env "LPH_ENGINE" "sat" (fun () ->
+              with_env "LPH_ENGINE" "cegar" (fun () ->
                   let a = Arbiter.of_local_algo ~id_radius:2 (Candidates.color_verifier 2) in
                   let universes = [ Candidates.color_universe 2 ] in
                   let g5 = Generators.cycle 5 in
+                  check_bool "the duel refuses the game" true
+                    (Game_cegar.solve ~eve_first:true a g5 ~ids:(global_ids g5) ~universes = None);
                   check_bool "odd cycle rejects" false
                     (Game.sigma_accepts a g5 ~ids:(global_ids g5) ~universes);
                   let g6 = Generators.cycle 6 in
@@ -446,7 +448,7 @@ let budget_suite =
               let ids = global_ids g in
               let a = Arbiter.of_local_algo ~id_radius:2 (Candidates.color_verifier 2) in
               let universes = [ Candidates.color_universe 2 ] in
-              Game.sigma_accepts ~engine:`Sat a g ~ids ~universes
+              Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes
               = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes));
     ] )
 

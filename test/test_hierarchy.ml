@@ -207,9 +207,9 @@ let separation_tests =
           (fun engine ->
             check_bool "separation quadruple" true
               (Separations.two_col_game_separation ~engine ~n:5 () = (false, false, true, true)))
-          [ `Exhaustive; `Pruned; `Sat ];
-        check_bool "sat sweep agrees with pruned sweep" true
-          (Separations.two_col_game_sweep ~engine:`Sat [ 3; 5; 7 ]
+          [ `Exhaustive; `Pruned; `Cegar ];
+        check_bool "cegar sweep agrees with pruned sweep" true
+          (Separations.two_col_game_sweep ~engine:`Cegar [ 3; 5; 7 ]
           = Separations.two_col_game_sweep ~engine:`Pruned [ 3; 5; 7 ]));
     quick "Prop 23: pigeonhole splice" (fun () ->
         List.iter

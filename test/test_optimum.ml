@@ -139,9 +139,11 @@ let test_sigma2_optimum () =
 let test_engines_fixed_explicitly () =
   (* pinning either engine as primary must not change the verdict *)
   let arbiter, universes = arb "2-color-verifier" in
-  let a = search ~engine:`Sat ~name:"2-color-verifier" ~arbiter ~universes "even-cycle" 6 in
+  let a = search ~engine:`Pruned ~name:"2-color-verifier" ~arbiter ~universes "even-cycle" 6 in
   let b = search ~engine:`Cegar ~name:"2-color-verifier" ~arbiter ~universes "even-cycle" 6 in
-  check_int "same optimum under both primaries" (opt_bits a) (opt_bits b)
+  check_int "same optimum under both primaries" (opt_bits a) (opt_bits b);
+  check_bool "each primary's checker agrees" true
+    (a.Opt.r_engines_agree && b.Opt.r_engines_agree)
 
 let test_memoisation () =
   let arbiter, universes = arb "2-color-verifier" in

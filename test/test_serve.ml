@@ -3,9 +3,10 @@
    Four layers are covered. The codec layer: request/response frames
    round-trip in both wire modes, and every way a frame can be
    malformed — bad mode byte, over-cap length, truncation, unknown
-   tags, trailing garbage — surfaces as a typed [Decode_error], never
-   a raw exception. The scheduler: answers match single-process
-   [Game.resolve] for all four engines, warm entries report cache hits,
+   tags (including the retired engine tag 3), trailing garbage —
+   surfaces as a typed [Decode_error], never a raw exception. The
+   scheduler: answers match single-process [Game.resolve] for all
+   three engines, warm entries report cache hits,
    and the LRU bound actually evicts. The server: concurrent clients
    over a real Unix-domain socket, mixed wire modes on one daemon,
    pipelined responses matched by id. And the substrate satellites:
@@ -17,7 +18,7 @@ open Lph_core
 let sigma = Serve_protocol.Accepts Game.Eve
 let pi = Serve_protocol.Accepts Game.Adam
 
-let req ?(id = 1) ?(engine = `Sat) ?(query = sigma) property graph =
+let req ?(id = 1) ?(engine = `Cegar) ?(query = sigma) property graph =
   { Serve_protocol.id; engine; property; graph; query }
 
 let some_requests =
@@ -76,6 +77,18 @@ let test_roundtrips () =
       List.iter (roundtrip_response wire) some_responses)
     [ Codec.Packed; Codec.Bits ]
 
+(* A well-formed request frame whose engine field carries tag 3, which
+   named the retired enumerate-outer-blocks SAT engine: an [`Auto]
+   request (one-byte tag 0, after the 5-byte header and the id) with
+   that byte rewritten. *)
+let retired_engine_frame () =
+  let r = req ~engine:`Auto (Serve_protocol.Coloring 3) (Serve_protocol.Cycle 5) in
+  let f = Bytes.of_string (Serve_protocol.frame ~wire:Codec.Packed Serve_protocol.request_codec r) in
+  let at = 5 + String.length (Codec.encode Codec.int r.Serve_protocol.id) in
+  assert (Bytes.get f at = '\000');
+  Bytes.set f at '\003';
+  Bytes.to_string f
+
 let is_decode_error f =
   match f () with
   | _ -> false
@@ -106,7 +119,9 @@ let test_malformed () =
       (Char.chr (len land 0xff))
       bad_payload
   in
-  Alcotest.(check bool) "unknown engine tag" true (is_decode_error (fun () -> unframe framed))
+  Alcotest.(check bool) "unknown engine tag" true (is_decode_error (fun () -> unframe framed));
+  Alcotest.(check bool) "retired engine tag 3" true
+    (is_decode_error (fun () -> unframe (retired_engine_frame ())))
 
 (* ------------------------------------------------------------------ *)
 (* scheduler vs single-process answers *)
@@ -133,7 +148,7 @@ let engine_matrix =
         req ~engine Serve_protocol.Robust_two_col (Serve_protocol.Cycle 6);
         req ~engine Serve_protocol.Robust_two_col (Serve_protocol.Cycle 5);
       ])
-    [ `Exhaustive; `Pruned; `Sat; `Cegar ]
+    [ `Exhaustive; `Pruned; `Cegar ]
 
 let submit_all sched reqs =
   let n = List.length reqs in
@@ -269,7 +284,7 @@ let test_server_pipelining () =
   let reqs =
     List.init 12 (fun i ->
         req ~id:(100 + i)
-          ~engine:(if i mod 2 = 0 then `Sat else `Cegar)
+          ~engine:(if i mod 2 = 0 then `Pruned else `Cegar)
           (Serve_protocol.Coloring (2 + (i mod 2)))
           (Serve_protocol.Cycle (5 + (i mod 3))))
   in
@@ -292,8 +307,9 @@ let test_server_pipelining () =
 
 let test_server_malformed_frames () =
   with_server @@ fun socket ->
-  (* a garbage payload in a valid frame: typed error response, and the
-     connection keeps serving *)
+  (* a garbage payload in a valid frame, then a request naming the
+     retired engine tag 3: typed error responses, and the connection
+     keeps serving *)
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
@@ -301,15 +317,18 @@ let test_server_malformed_frames () =
   let header =
     Printf.sprintf "P\x00\x00\x00%c%s" (Char.chr (String.length junk)) junk
   in
-  let _ = Unix.write_substring fd header 0 (String.length header) in
-  (match Serve_protocol.read_frame fd with
-  | Some (wire, payload) -> (
-      let resp = Serve_protocol.parse ~wire Serve_protocol.response_codec payload in
-      Alcotest.(check int) "error response id 0" 0 resp.Serve_protocol.id;
-      match resp.Serve_protocol.outcome with
-      | Result.Error (Error.Decode_error _) -> ()
-      | _ -> Alcotest.fail "expected a Decode_error outcome")
-  | None -> Alcotest.fail "no error response");
+  List.iter
+    (fun frame ->
+      let _ = Unix.write_substring fd frame 0 (String.length frame) in
+      match Serve_protocol.read_frame fd with
+      | Some (wire, payload) -> (
+          let resp = Serve_protocol.parse ~wire Serve_protocol.response_codec payload in
+          Alcotest.(check int) "error response id 0" 0 resp.Serve_protocol.id;
+          match resp.Serve_protocol.outcome with
+          | Result.Error (Error.Decode_error _) -> ()
+          | _ -> Alcotest.fail "expected a Decode_error outcome")
+      | None -> Alcotest.fail "no error response")
+    [ header; retired_engine_frame () ];
   (* same connection still answers real requests *)
   let good = req (Serve_protocol.Coloring 3) (Serve_protocol.Cycle 5) in
   Serve_protocol.write_frame fd ~wire:Codec.Packed Serve_protocol.request_codec good;
