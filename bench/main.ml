@@ -1729,25 +1729,31 @@ let exp_certification () =
                     Optimum.search ~name ~arbiter:spec.Lint_registry.arbiter
                       ~universes:spec.Lint_registry.universes ~family:fam ~size ()
                   in
-                  let opt_cell = function Some v -> string_of_int v | None -> "--" in
-                  row "%-20s %-10s %-6d %-12s %-6s %-10s %-7b %10.2f\n" name r.Optimum.r_family
-                    r.Optimum.r_size
-                    (Optimum.verdict_string r.Optimum.r_verdict)
-                    (opt_cell (Optimum.verdict_bits r.Optimum.r_verdict))
-                    (opt_cell r.Optimum.r_declared) r.Optimum.r_engines_agree
-                    r.Optimum.r_search_ms;
-                  certification_entries :=
-                    {
-                      c_spec = name;
-                      c_family = r.Optimum.r_family;
-                      c_size = r.Optimum.r_size;
-                      c_ms = r.Optimum.r_search_ms;
-                      c_verdict = Optimum.verdict_string r.Optimum.r_verdict;
-                      c_bits = Optimum.verdict_bits r.Optimum.r_verdict;
-                      c_declared = r.Optimum.r_declared;
-                      c_agree = r.Optimum.r_engines_agree;
-                    }
-                    :: !certification_entries)
+                  (* sizes that build the same graph (torus 4 and 9) get one row *)
+                  let recorded e =
+                    (e.c_spec, e.c_family, e.c_size) = (name, r.Optimum.r_family, r.Optimum.r_size)
+                  in
+                  if not (List.exists recorded !certification_entries) then begin
+                    let opt_cell = function Some v -> string_of_int v | None -> "--" in
+                    row "%-20s %-10s %-6d %-12s %-6s %-10s %-7b %10.2f\n" name r.Optimum.r_family
+                      r.Optimum.r_size
+                      (Optimum.verdict_string r.Optimum.r_verdict)
+                      (opt_cell (Optimum.verdict_bits r.Optimum.r_verdict))
+                      (opt_cell r.Optimum.r_declared) r.Optimum.r_engines_agree
+                      r.Optimum.r_search_ms;
+                    certification_entries :=
+                      {
+                        c_spec = name;
+                        c_family = r.Optimum.r_family;
+                        c_size = r.Optimum.r_size;
+                        c_ms = r.Optimum.r_search_ms;
+                        c_verdict = Optimum.verdict_string r.Optimum.r_verdict;
+                        c_bits = Optimum.verdict_bits r.Optimum.r_verdict;
+                        c_declared = r.Optimum.r_declared;
+                        c_agree = r.Optimum.r_engines_agree;
+                      }
+                      :: !certification_entries
+                  end)
                 sizes)
             fams)
     plan;

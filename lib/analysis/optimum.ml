@@ -1,4 +1,5 @@
 module G = Lph_graph.Labeled_graph
+module Graph_memo = Lph_graph.Graph_memo
 module Gen = Lph_graph.Generators
 module Ids = Lph_graph.Identifiers
 module Certs = Lph_graph.Certificates
@@ -168,10 +169,6 @@ let engine_tag = function
   | `Exhaustive -> "exhaustive"
   | `Auto -> "auto"
 
-let memo : (string * string * int * string, result) Hashtbl.t = Hashtbl.create 64
-
-let memo_lock = Mutex.create ()
-
 let run ~primary ~other ~name ~flabel ~arbiter ~universes g =
   let t0 = Sys.time () in
   let ids = Ids.make_global g in
@@ -249,22 +246,32 @@ let run ~primary ~other ~name ~flabel ~arbiter ~universes g =
               | Ok proof -> finish ~agree ~declared (Optimum { bits = optimum; proof })
           end)
 
-let memoised key compute =
+(* Family searches are memoised on the built graph's node count, which
+   determines every family's [build] result: sizes that build the same
+   graph (torus 4 and 9 are both 3x3) share one search. The table is
+   flushed wholesale past a few hundred entries. *)
+let memo : (string * string * int * string, result) Hashtbl.t = Hashtbl.create 64
+
+let memo_lock = Mutex.create ()
+
+let search ?(engine = `Auto) ~name ~arbiter ~universes ~family ~size () =
+  let primary, other = engine_pair engine in
+  let g = family.build size in
+  let key = (name, family.fam_name, G.card g, engine_tag primary) in
   match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key) with
   | Some r -> r
   | None ->
-      let r = compute () in
+      let r = run ~primary ~other ~name ~flabel:family.fam_name ~arbiter ~universes g in
       Mutex.protect memo_lock (fun () ->
           if Hashtbl.length memo > 512 then Hashtbl.reset memo;
           Hashtbl.replace memo key r);
       r
 
-let search ?(engine = `Auto) ~name ~arbiter ~universes ~family ~size () =
-  let primary, other = engine_pair engine in
-  memoised (name, family.fam_name, size, engine_tag primary) (fun () ->
-      run ~primary ~other ~name ~flabel:family.fam_name ~arbiter ~universes (family.build size))
+(* Searches on explicit graphs are memoised per graph and die with it;
+   the label stays in the key because it names the result's family. *)
+let graph_memo = Graph_memo.create ()
 
 let search_graph ?(engine = `Auto) ~name ~arbiter ~universes ~label g =
   let primary, other = engine_pair engine in
-  memoised (name, label, G.card g, engine_tag primary) (fun () ->
+  Graph_memo.find_or_add graph_memo g (name, label, engine_tag primary) (fun () ->
       run ~primary ~other ~name ~flabel:label ~arbiter ~universes g)

@@ -128,8 +128,9 @@ val search :
     unset); [`Pruned] cross-checks every reported boundary when the
     primary is [`Cegar], and [`Cegar] does otherwise — the checker
     shares no compiled instance with the engine it checks. Results are
-    memoised per (spec, family, size, engine) — the second call is
-    free. *)
+    memoised per (spec, family, node count of the built graph, engine),
+    so sizes that build the same graph share one result and a repeated
+    call costs only the build. *)
 
 val search_graph :
   ?engine:Lph_hierarchy.Game.engine ->
@@ -144,5 +145,7 @@ val search_graph :
   Lph_graph.Labeled_graph.t ->
   result
 (** Like {!search} on an explicit instance ([label] stands in for the
-    family name in the result and the memo key) — what the
-    certification reductions use on reduction images. *)
+    family name in the result) — what the certification reductions use
+    on reduction images. Results are memoised per graph on (spec,
+    label, engine) and die with the graph, so two graphs of one size
+    never share a result. *)

@@ -19,6 +19,7 @@ module Parallel = Lph_util.Parallel
 module Structure = Lph_structure.Structure
 
 module Graph = Lph_graph.Labeled_graph
+module Graph_memo = Lph_graph.Graph_memo
 module Generators = Lph_graph.Generators
 module Neighborhood = Lph_graph.Neighborhood
 module Identifiers = Lph_graph.Identifiers

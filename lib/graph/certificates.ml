@@ -8,24 +8,13 @@ let trivial g = Array.make (G.card g) ""
 
 (* (r,p)-bound rows are requested for every node of a graph by the game
    solver's universes, once per enumerated assignment; memoise the whole
-   row per (graph, ids, bound). The table is small and bounded: it is
-   flushed wholesale if it ever grows past a few hundred entries. *)
-let max_length_memo : (int * string array * bound, int array) Hashtbl.t = Hashtbl.create 64
-let max_length_lock = Mutex.create ()
+   row per (graph, ids, bound). The rows die with their graph. *)
+let max_length_rows = Graph_memo.create ()
 
 let max_length_row g ~ids b =
-  let key = (G.uid g, ids, b) in
-  match Mutex.protect max_length_lock (fun () -> Hashtbl.find_opt max_length_memo key) with
-  | Some row -> row
-  | None ->
-      let row =
-        Array.init (G.card g) (fun u ->
-            Lph_util.Poly.eval b.poly (Neighborhood.ball_information g ~ids ~radius:b.radius u))
-      in
-      Mutex.protect max_length_lock (fun () ->
-          if Hashtbl.length max_length_memo > 512 then Hashtbl.reset max_length_memo;
-          Hashtbl.replace max_length_memo key row);
-      row
+  Graph_memo.find_or_add max_length_rows g (ids, b) (fun () ->
+      Array.init (G.card g) (fun u ->
+          Lph_util.Poly.eval b.poly (Neighborhood.ball_information g ~ids ~radius:b.radius u)))
 
 let max_length g ~ids b u = (max_length_row g ~ids b).(u)
 

@@ -7,7 +7,7 @@
    that still want it. *)
 
 type t = {
-  uid : int; (* unique per construction; keys the per-graph memo tables *)
+  uid : int; (* unique per construction; hashes the graph in Graph_memo *)
   labels : string array;
   off : int array; (* off.(u) .. off.(u+1) - 1 indexes u's row in tgt *)
   tgt : int array; (* neighbour targets, sorted within each row *)

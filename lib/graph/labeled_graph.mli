@@ -31,9 +31,8 @@ val singleton : string -> t
     representation of a string as a graph (the class NODE). *)
 
 val uid : t -> int
-(** A session-unique identity assigned per construction. Graphs are
-    immutable after construction, so the uid is a sound key for memo
-    tables (distances, balls, certificate-length bounds). Structurally
+(** A session-unique identity assigned per construction: the hash
+    under which {!Graph_memo} files a graph's derived data. Structurally
     equal graphs built by separate [make] calls have distinct uids. *)
 
 val card : t -> int

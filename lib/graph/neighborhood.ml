@@ -4,10 +4,9 @@ module G = Labeled_graph
 (* Per-graph memoisation.
 
    Graphs are immutable after construction, so BFS results can be
-   cached for the lifetime of the graph. The cache is keyed on the
-   graph's uid through a weak (ephemeron) table: entries die with their
-   graph, so sweeps that generate thousands of short-lived instances do
-   not leak.
+   cached for the lifetime of the graph. The cache lives in a
+   {!Graph_memo} store: it dies with its graph, so sweeps that generate
+   thousands of short-lived instances do not leak.
 
    Two regimes, split by [full_row_threshold]:
 
@@ -52,41 +51,18 @@ type cache = {
   shards : shard array;
 }
 
-module Graph_key = struct
-  type t = G.t
-
-  let equal = ( == )
-  let hash = G.uid
-end
-
-module Cache_table = Ephemeron.K1.Make (Graph_key)
-
-let caches : cache Cache_table.t = Cache_table.create 64
-let lock = Mutex.create ()
+let caches : (unit, cache) Graph_memo.t = Graph_memo.create ()
 
 let cache_of g =
-  Mutex.protect lock (fun () ->
-      match Cache_table.find_opt caches g with
-      | Some c -> c
-      | None ->
-          let n = G.card g in
-          let c =
-            {
-              dist_rows = (if n <= full_row_threshold then Some (Array.make n None) else None);
-              row_memo = Hashtbl.create 4;
-              row_lock = Mutex.create ();
-              shards =
-                Array.init shard_count (fun _ ->
-                    { lock = Mutex.create (); balls = Hashtbl.create 16 });
-            }
-          in
-          Cache_table.replace caches g c;
-          c)
-
-(* The table is weakly keyed, so dropping every reference to a graph
-   already reclaims its memos at the next GC; eager eviction is for
-   cache-bounded servers that want the space back deterministically. *)
-let evict g = Mutex.protect lock (fun () -> Cache_table.remove caches g)
+  Graph_memo.find_or_add caches g () (fun () ->
+      let n = G.card g in
+      {
+        dist_rows = (if n <= full_row_threshold then Some (Array.make n None) else None);
+        row_memo = Hashtbl.create 4;
+        row_lock = Mutex.create ();
+        shards =
+          Array.init shard_count (fun _ -> { lock = Mutex.create (); balls = Hashtbl.create 16 });
+      })
 
 (* shards are keyed by graph segment: shard s owns the sources with
    index in [s*n/16, (s+1)*n/16) *)

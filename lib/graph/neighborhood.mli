@@ -3,8 +3,9 @@
     of "locally available information" throughout the paper.
 
     Distance rows and balls are memoised per graph (graphs are immutable
-    after {!Labeled_graph.make}); the memo is weakly keyed, safe to use
-    from parallel domains, and transparent to callers.
+    after {!Labeled_graph.make}) in a {!Graph_memo} store, so the memo
+    dies with its graph; it is safe to use from parallel domains and
+    transparent to callers.
 
     Two regimes, split at [LPH_FULL_ROW_MAX] (default 8192) nodes: small
     graphs cache one full BFS distance row per source; large graphs
@@ -38,13 +39,6 @@ val touched : Labeled_graph.t -> radius:int -> int list -> int list
     intersects [changed] — exactly the verifiers a radius-[radius]
     arbiter must re-run after the certificates of [changed] mutate
     (the incremental-evaluation dirty set). Sorted by node index. *)
-
-val evict : Labeled_graph.t -> unit
-(** Drop the graph's memoised rows and ball shards now instead of
-    waiting for the weakly-keyed table to notice the graph died — the
-    eviction hook of cache-bounded long-lived processes
-    ({!Lph_serve.Scheduler}). Safe concurrently with queries: an
-    in-flight query at worst re-memoises into a fresh cache. *)
 
 val eccentricity : Labeled_graph.t -> int -> int
 val diameter : Labeled_graph.t -> int

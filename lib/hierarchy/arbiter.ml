@@ -1,6 +1,7 @@
 module G = Lph_graph.Labeled_graph
 module N = Lph_graph.Neighborhood
 module Certs = Lph_graph.Certificates
+module Graph_memo = Lph_graph.Graph_memo
 
 type locality = Opaque | Ball of int
 
@@ -36,7 +37,9 @@ let opaque_checker _g ~ids:_ = None
    this arbiter: neighbourhood extractions are reused across calls on
    the same (graph, identifier assignment), and ball verdicts are
    memoised on the ball's certificate contents, so repeated game solves
-   (sweeps, benchmarks) pay for each distinct ball configuration once. *)
+   (sweeps, benchmarks) pay for each distinct ball configuration once.
+   The per-graph states live in a {!Lph_graph.Graph_memo} store and die
+   with their graph; [lock] guards only the verdict memos. *)
 
 type hood = {
   ind : N.induced;
@@ -57,19 +60,11 @@ let make_checker ~locality ~verdicts =
   | Ball r, Some verdicts ->
       let eval_radius = max r 1 in
       let lock = Mutex.create () in
-      let states : (int * string array, checker_state) Hashtbl.t = Hashtbl.create 8 in
+      let states = Graph_memo.create () in
       fun g ~ids ->
-        let n = G.card g in
         let state =
-          Mutex.protect lock (fun () ->
-              let key = (G.uid g, ids) in
-              match Hashtbl.find_opt states key with
-              | Some st -> st
-              | None ->
-                  if Hashtbl.length states > 64 then Hashtbl.reset states;
-                  let st = { hoods = Array.make n None; memo = Hashtbl.create 256 } in
-                  Hashtbl.add states key st;
-                  st)
+          Graph_memo.find_or_add states g ids (fun () ->
+              { hoods = Array.make (G.card g) None; memo = Hashtbl.create 256 })
         in
         (* lazily built per node; racing domains recompute identical
            values and an option write is a single pointer store, so

@@ -92,5 +92,5 @@ val ball_checker :
     Neighbourhood extractions and ball verdicts are cached inside the
     arbiter (per graph and identifier assignment, memoised on ball
     certificate contents), so repeated solves against the same arbiter
-    reuse each distinct ball configuration. The closure is safe to call
-    from parallel domains. *)
+    reuse each distinct ball configuration; a graph's share dies with
+    the graph. The closure is safe to call from parallel domains. *)

@@ -45,6 +45,7 @@
    "don't know" so the caller can fall back to pruned search. *)
 
 module G = Lph_graph.Labeled_graph
+module Graph_memo = Lph_graph.Graph_memo
 module N = Lph_graph.Neighborhood
 module Certs = Lph_graph.Certificates
 module Cnf = Lph_boolean.Cnf
@@ -168,22 +169,6 @@ and nested_refute d ~proposer ~eve ~level ~prefix ~iters k =
 
 (* ---- instances ----------------------------------------------------- *)
 
-(* Keyed like the {!Game_sat} cache (arbiter name AND locality, so
-   radius variants of one name stay apart) plus the first player (the
-   two proposers differ in their pinned mode), with the same per-entry
-   locking discipline: the global lock only finds-or-inserts the
-   entry, each instance is built once under its own lock, and solves
-   on distinct instances never serialise each other. *)
-type entry = { e_lock : Mutex.t; mutable built : t option option }
-
-let cache :
-    ( string * Arbiter.locality * int * string array * string list array array * bool,
-      entry )
-    Hashtbl.t =
-  Hashtbl.create 16
-
-let cache_lock = Mutex.create ()
-
 let build ~eve_first (a : Arbiter.t) g ~ids ~universes =
   match Game_sat.compile a g ~ids ~universes with
   | None -> None
@@ -217,43 +202,24 @@ let build ~eve_first (a : Arbiter.t) g ~ids ~universes =
             s_generalised = 0;
           }
 
+(* Keyed like the {!Game_sat} cache (per graph, on the arbiter's name
+   AND locality, so radius variants of one name stay apart) plus the
+   first player (the two proposers differ in their pinned mode). Each
+   duel is built once under its entry's lock, solves on distinct
+   instances never serialise each other, and a duel dies with its
+   graph. The materialised universes are the key and, handed to
+   {!Game_sat} as lookups, the compile's input, so the universe
+   functions run once per cold instance. *)
+let duels = Graph_memo.create ()
+
 let instance ~eve_first (a : Arbiter.t) g ~ids ~universes =
-  let choices_key =
+  let choices =
     Array.of_list (List.map (fun universe -> Array.init (G.card g) universe) universes)
   in
-  let key = (a.Arbiter.name, a.Arbiter.locality, G.uid g, ids, choices_key, eve_first) in
-  let entry =
-    Mutex.protect cache_lock (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some e -> e
-        | None ->
-            if Hashtbl.length cache > 64 then Hashtbl.reset cache;
-            let e = { e_lock = Mutex.create (); built = None } in
-            Hashtbl.add cache key e;
-            e)
-  in
-  Mutex.protect entry.e_lock (fun () ->
-      match entry.built with
-      | Some inst -> inst
-      | None ->
-          let inst = build ~eve_first a g ~ids ~universes in
-          entry.built <- Some inst;
-          inst)
-
-let cached_instances () = Mutex.protect cache_lock (fun () -> Hashtbl.length cache)
-
-let evict_graph ~uid =
-  Mutex.protect cache_lock (fun () ->
-      let removed = ref 0 in
-      Hashtbl.filter_map_inplace
-        (fun (_, _, guid, _, _, _) e ->
-          if guid = uid then begin
-            incr removed;
-            None
-          end
-          else Some e)
-        cache;
-      !removed)
+  Graph_memo.find_or_add duels g (a.Arbiter.name, a.Arbiter.locality, ids, choices, eve_first)
+    (fun () ->
+      let universes = Array.to_list (Array.map (fun per_node u -> per_node.(u)) choices) in
+      build ~eve_first a g ~ids ~universes)
 
 (* ---- solving ------------------------------------------------------- *)
 

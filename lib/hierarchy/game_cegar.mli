@@ -14,10 +14,11 @@
     move and loses. Alternation depth ℓ > 2 recurses with fresh forks,
     one level per duel.
 
-    Instances are cached per (arbiter, locality, graph, identifiers,
-    universes, first player) with per-entry locks, so sweeps re-solve warm
-    proposers — including all blocking clauses learned so far — and
-    parallel solves of distinct instances never serialise each other. *)
+    Instances are cached per graph on (arbiter, locality, identifiers,
+    universes, first player) in a {!Lph_graph.Graph_memo} store, so
+    sweeps re-solve warm proposers — including all blocking clauses
+    learned so far — parallel solves of distinct instances never
+    serialise each other, and a duel dies with its graph. *)
 
 type t
 (** A cached duel: the shared compiled instance plus this first
@@ -93,13 +94,3 @@ val shared_stats : t -> Lph_boolean.Solver.stats
 
 val table_entries : t -> int
 (** Tabulated ball configurations of the underlying compiled CNF. *)
-
-val cached_instances : unit -> int
-(** Number of duel instances currently cached (see
-    {!Game_sat.cached_instances}; this cache is keyed the same way plus
-    the first player). *)
-
-val evict_graph : uid:int -> int
-(** Drop every cached duel for the graph with this
-    {!Lph_graph.Labeled_graph.uid}; returns how many entries went. The
-    scheduler's eviction hook, paired with {!Game_sat.evict_graph}. *)

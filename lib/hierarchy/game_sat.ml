@@ -36,6 +36,7 @@
    further assumptions. *)
 
 module G = Lph_graph.Labeled_graph
+module Graph_memo = Lph_graph.Graph_memo
 module N = Lph_graph.Neighborhood
 module Certs = Lph_graph.Certificates
 module BF = Lph_boolean.Bool_formula
@@ -102,7 +103,7 @@ let tabulate ~check ~choices ~levels ~n members u =
     (Lph_util.Combinat.product per_slot);
   (List.rev !accepting, List.rev !rejecting)
 
-let compile_uncached (a : Arbiter.t) g ~ids ~universes =
+let compile_uncached (a : Arbiter.t) g ~ids ~choices =
   match (a.Arbiter.locality, Arbiter.ball_checker a g ~ids) with
   | Arbiter.Opaque, _ | _, None ->
       Result.Error
@@ -115,10 +116,7 @@ let compile_uncached (a : Arbiter.t) g ~ids ~universes =
            })
   | Arbiter.Ball r, Some check ->
       let n = G.card g in
-      let levels = List.length universes in
-      let choices =
-        Array.of_list (List.map (fun universe -> Array.init n universe) universes)
-      in
+      let levels = Array.length choices in
       let balls = Array.init n (fun u -> N.ball g ~radius:r u) in
       let table_size u =
         List.fold_left
@@ -188,79 +186,29 @@ let compile_uncached (a : Arbiter.t) g ~ids ~universes =
       end
 
 (* Compiled instances are reused across game solves (sweeps and
-   benchmarks re-solve the same graph under many prefixes), keyed on
-   the arbiter's name and locality, the graph and the materialised
-   universes. Names alone do not identify an arbiter:
-   [Local_algo.with_radius] keeps the name, so radius variants would
-   otherwise share one compiled CNF.
-
-   Synchronisation is PER ENTRY: the global lock only guards the
-   find-or-insert of an entry record, while the (possibly expensive)
-   compilation runs under that entry's own lock. [LPH_JOBS>1] sweeps
-   over independent (arbiter, graph) pairs therefore compile and solve
-   concurrently; only two domains racing for the SAME instance
-   serialise, and each key is compiled exactly once. *)
-
-type entry = { e_lock : Mutex.t; mutable compiled : (t, Lph_util.Error.t) result option }
-
-let cache :
-    (string * Arbiter.locality * int * string array * string list array array, entry) Hashtbl.t =
-  Hashtbl.create 16
-
-let cache_lock = Mutex.create ()
+   benchmarks re-solve the same graph under many prefixes), keyed per
+   graph on the arbiter's name and locality, the identifiers and the
+   materialised universes, which double as the compile's input. Names
+   alone do not identify an arbiter: [Local_algo.with_radius] keeps the
+   name, so radius variants would otherwise share one compiled CNF.
+   The store computes each key once, under a per-entry lock, so
+   [LPH_JOBS>1] sweeps over independent (arbiter, graph) pairs compile
+   concurrently, and an instance dies with its graph. *)
+let compiled = Graph_memo.create ()
 
 let compile_explain (a : Arbiter.t) g ~ids ~universes =
-  let choices_key =
+  let choices =
     Array.of_list (List.map (fun universe -> Array.init (G.card g) universe) universes)
   in
-  let key = (a.Arbiter.name, a.Arbiter.locality, G.uid g, ids, choices_key) in
-  let entry =
-    Mutex.protect cache_lock (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some e -> e
-        | None ->
-            if Hashtbl.length cache > 64 then Hashtbl.reset cache;
-            let e = { e_lock = Mutex.create (); compiled = None } in
-            Hashtbl.add cache key e;
-            e)
-  in
-  Mutex.protect entry.e_lock (fun () ->
-      match entry.compiled with
-      | Some inst -> inst
-      | None ->
-          let inst = compile_uncached a g ~ids ~universes in
-          entry.compiled <- Some inst;
-          inst)
+  Graph_memo.find_or_add compiled g (a.Arbiter.name, a.Arbiter.locality, ids, choices) (fun () ->
+      compile_uncached a g ~ids ~choices)
 
 let compile a g ~ids ~universes = Result.to_option (compile_explain a g ~ids ~universes)
 
-let cached_instances () = Mutex.protect cache_lock (fun () -> Hashtbl.length cache)
-
-let evict_graph ~uid =
-  Mutex.protect cache_lock (fun () ->
-      let removed = ref 0 in
-      Hashtbl.filter_map_inplace
-        (fun (_, _, guid, _, _) e ->
-          if guid = uid then begin
-            incr removed;
-            None
-          end
-          else Some e)
-        cache;
-      !removed)
-
-(* [e.compiled] is read without the entry lock: once set it is never
-   mutated again, and a stale [None] only under-reports a compile still
-   in flight — fine for an accounting estimate, and it keeps a slow
-   compile from stalling everyone behind [cache_lock]. *)
-let graph_table_entries ~uid =
-  Mutex.protect cache_lock (fun () ->
-      Hashtbl.fold
-        (fun (_, _, guid, _, _) e acc ->
-          match e.compiled with
-          | Some (Result.Ok t) when guid = uid -> acc + t.table_entries
-          | _ -> acc)
-        cache 0)
+let graph_table_entries g =
+  Graph_memo.fold compiled g
+    (fun _ inst acc -> match inst with Result.Ok t -> acc + t.table_entries | Error _ -> acc)
+    0
 
 let find_index x xs =
   let rec go i = function

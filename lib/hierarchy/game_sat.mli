@@ -31,11 +31,12 @@ val compile :
     the arbiter is [Opaque], exposes no per-node verdicts, or the total
     ball-table size exceeds the compile budget (default 200000 verifier
     runs; override with [LPH_SAT_BUDGET]) — callers fall back to pruned
-    search. Instances are cached on (arbiter name, arbiter locality,
-    graph, identifiers, materialised universes), so repeated solves
+    search. Instances are cached per graph on (arbiter name, arbiter
+    locality, identifiers, materialised universes), so repeated solves
     and parallel sweeps over the same graph reuse both the CNF and its
     learned clauses, while radius variants of one arbiter (same name,
-    different [Ball r]) never share an instance. *)
+    different [Ball r]) never share an instance. Each instance is
+    compiled once, and dies with its graph. *)
 
 val compile_explain :
   Arbiter.t ->
@@ -59,27 +60,15 @@ val table_entries : t -> int
 (** Total number of tabulated ball configurations (the one-off compile
     cost, in verifier runs). *)
 
-(** {1 Cache handles}
+(** {1 Cost accounting}
 
-    The compile cache normally manages itself (reset past 64 entries);
-    these hooks exist for cache-bounded long-lived processes
-    ({!Lph_serve.Scheduler}) that evict by graph when their own LRU
-    budget says so. *)
+    Compiled instances live in a {!Lph_graph.Graph_memo} store and die
+    with their graph: a process that wants the memory back drops the
+    graph, and there is nothing to evict. *)
 
-val cached_instances : unit -> int
-(** Number of (arbiter, locality, graph, ids, universes) entries
-    currently in the compile cache, including entries whose compilation
-    failed or is still in flight. *)
-
-val evict_graph : uid:int -> int
-(** Drop every cached compile for the graph with this
-    {!Lph_graph.Labeled_graph.uid}; returns how many entries went.
-    In-flight solves on an evicted instance finish normally — they hold
-    their own reference — but later compiles start cold. *)
-
-val graph_table_entries : uid:int -> int
-(** Sum of {!table_entries} over the successfully compiled cache
-    entries of one graph: the scheduler's per-graph cost estimate. *)
+val graph_table_entries : Lph_graph.Labeled_graph.t -> int
+(** Sum of {!table_entries} over the graph's successfully compiled
+    instances: the scheduler's per-graph cost estimate. *)
 
 (** {1 CEGAR access}
 

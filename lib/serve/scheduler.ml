@@ -7,31 +7,30 @@
    the groups over the shared {!Lph_util.Parallel} pool. Grouping is
    what makes the caches pay: every request in a group runs against the
    same materialised graph, identifier assignment and arbiter, so the
-   per-(arbiter, graph) {!Game_sat}/{!Game_cegar} compile caches and
-   the {!Neighborhood} memos are hit by construction, across requests
-   and across connections. Requests within a group run sequentially
-   (the compiled instance's solver serialises them anyway); distinct
-   groups run in parallel.
+   per-graph {!Game_sat}/{!Game_cegar} compile caches and the
+   {!Neighborhood} memos are hit by construction, across requests and
+   across connections. Requests within a group run sequentially (the
+   compiled instance's solver serialises them anyway); distinct groups
+   run in parallel.
 
    The entry cache is LRU-BOUNDED by an estimated byte cost
    ([LPH_SERVE_CACHE_MB], default 256): after each batch, entries are
    re-costed from their graph size plus the compiled ball tables
    ({!Game_sat.graph_table_entries}), and least-recently-used entries
-   are evicted — dropping the graph reference (which lets the weakly
-   keyed {!Neighborhood} memos die) and calling the typed eviction
-   hooks on both engine caches — until the estimate is back under the
-   bound. A long-lived daemon therefore converges on the working set
-   the traffic actually names. *)
+   are evicted until the estimate is back under the bound. Evicting an
+   entry drops its graph reference, and everything the engines derived
+   from that graph lives in {!Lph_graph.Graph_memo} stores that die
+   with it, so there is no engine to notify. A long-lived daemon
+   therefore converges on the working set the traffic actually
+   names. *)
 
 module P = Protocol
 module Error = Lph_util.Error
 module Parallel = Lph_util.Parallel
 module G = Lph_graph.Labeled_graph
-module N = Lph_graph.Neighborhood
 module Identifiers = Lph_graph.Identifiers
 module Game = Lph_hierarchy.Game
 module Game_sat = Lph_hierarchy.Game_sat
-module Game_cegar = Lph_hierarchy.Game_cegar
 module Arbiter = Lph_hierarchy.Arbiter
 
 let what = "Serve_scheduler"
@@ -122,14 +121,11 @@ let graph_bytes g =
   let ids_overhead = 32 * G.card g in
   (16 * G.card g) + (16 * G.num_edges g) + ids_overhead
 
-let entry_cost e =
-  graph_bytes e.graph + (128 * Game_sat.graph_table_entries ~uid:(G.uid e.graph))
+let entry_cost e = graph_bytes e.graph + (128 * Game_sat.graph_table_entries e.graph)
 
-let evict_entry t key e =
-  let uid = G.uid e.graph in
-  ignore (Game_sat.evict_graph ~uid);
-  ignore (Game_cegar.evict_graph ~uid);
-  N.evict e.graph;
+(* Everything derived from the graph lives in per-graph memo stores, so
+   dropping the entry's graph reference frees it. *)
+let evict_entry t key =
   Hashtbl.remove t.cache key;
   t.s_evictions <- t.s_evictions + 1
 
@@ -147,7 +143,7 @@ let enforce_cap t =
           | _ -> Some (key, e))
         t.cache None
     in
-    match oldest with Some (key, e) -> evict_entry t key e | None -> ()
+    match oldest with Some (key, _) -> evict_entry t key | None -> ()
   done
 
 (* ---- answering ------------------------------------------------------ *)

@@ -3,22 +3,19 @@
     batch by {!Protocol.key} (same property, same graph spec) and runs
     the groups in parallel over the shared {!Lph_util.Parallel} domain
     pool — requests within a group sequentially, against one
-    materialised (graph, identifiers, arbiter) entry, so the
-    per-(arbiter, graph) {!Lph_hierarchy.Game_sat} /
-    {!Lph_hierarchy.Game_cegar} compile caches and the
-    {!Lph_graph.Neighborhood} memos are shared across requests and
-    connections by construction.
+    materialised (graph, identifiers, arbiter) entry, so the per-graph
+    {!Lph_hierarchy.Game_sat} / {!Lph_hierarchy.Game_cegar} compile
+    caches and the {!Lph_graph.Neighborhood} memos are shared across
+    requests and connections by construction.
 
     Entries are LRU-bounded by estimated resident bytes
     ([LPH_SERVE_CACHE_MB], default 256): after every batch the touched
     entries are re-costed (graph size plus compiled ball tables) and
-    least-recently-used entries are evicted — through
-    {!Lph_hierarchy.Game_sat.evict_graph},
-    {!Lph_hierarchy.Game_cegar.evict_graph} and
-    {!Lph_graph.Neighborhood.evict}, and by dropping the graph
-    reference — until the estimate is back under the bound (the
-    most-recent entry is always kept, so a single oversized instance
-    cannot thrash). *)
+    least-recently-used entries are evicted until the estimate is back
+    under the bound (the most-recent entry is always kept, so a single
+    oversized instance cannot thrash). Evicting an entry drops its
+    graph reference; the engines' per-graph data lives in
+    {!Lph_graph.Graph_memo} stores and dies with the graph. *)
 
 type t
 

@@ -103,6 +103,21 @@ let with_env name value f =
   Unix.putenv name value;
   Fun.protect ~finally:(fun () -> Unix.putenv name (Option.value saved ~default:"")) f
 
+(* A compiled instance and a duel on a graph nothing else holds, kept
+   only weakly: built out of line so no register or stack slot of the
+   caller keeps the graph alive. *)
+let[@inline never] solve_on_dropped_graph insts duels =
+  let g = Generators.cycle 6 in
+  let a = v2 () and ids = global_ids g and universes = [ Candidates.color_universe 2 ] in
+  match
+    (Game_sat.compile a g ~ids ~universes, Game_cegar.instance ~eve_first:true a g ~ids ~universes)
+  with
+  | Some inst, Some duel ->
+      check_bool "C6 is 2-colourable" true (Game_cegar.value duel = Some true);
+      Weak.set insts 0 (Some inst);
+      Weak.set duels 0 (Some duel)
+  | _ -> Alcotest.fail "C6 2-col should compile"
+
 (* The SAT backend: the compilation layer ({!Game_sat}) and the CEGAR
    engine that plays games on it, against pruned search and exhaustive
    enumeration. *)
@@ -240,6 +255,14 @@ let sat_suite =
               check_int "radius-1 instance" 1 (Game_sat.radius i1);
               check_int "radius-0 instance" 0 (Game_sat.radius i0)
           | _ -> Alcotest.fail "both radius variants should compile");
+      quick "instances compiled on a dropped graph are collected" (fun () ->
+          (* the lifetime that replaces eviction: the compile and duel
+             caches hold nothing once their graph is gone *)
+          let insts = Weak.create 1 and duels = Weak.create 1 in
+          solve_on_dropped_graph insts duels;
+          Gc.full_major ();
+          check_bool "compiled instance collected" false (Weak.check insts 0);
+          check_bool "duel collected" false (Weak.check duels 0));
     ] )
 
 (* a Σ2 game that is always false but keeps an optimistic Eve proposer

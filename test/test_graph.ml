@@ -515,6 +515,109 @@ let family_tests =
         && Graph.num_edges g <= min (n - 1 + extra) max_possible);
   ]
 
+(* A value only the store holds, on a graph nothing else holds: built
+   out of line so no register or stack slot of the caller keeps either
+   alive. *)
+let[@inline never] memo_on_dropped_graph store weak =
+  let g = Generators.cycle 6 in
+  Weak.set weak 0 (Some (Graph_memo.find_or_add store g () (fun () -> ref (Graph.card g))))
+
+(* Run [f] on [n] domains released together; results in domain order. *)
+let race n f =
+  let waiting = Atomic.make n in
+  let domains =
+    List.init n (fun i ->
+        Domain.spawn (fun () ->
+            Atomic.decr waiting;
+            while Atomic.get waiting > 0 do
+              Domain.cpu_relax ()
+            done;
+            f i))
+  in
+  List.map Domain.join domains
+
+let memo_tests =
+  [
+    quick "compute runs once per (graph, key)" (fun () ->
+        let store = Graph_memo.create () in
+        let g = Generators.cycle 5 in
+        let calls = ref 0 in
+        let get () = Graph_memo.find_or_add store g "k" (fun () -> incr calls; ref 0) in
+        let a = get () in
+        check_bool "second call returns the stored value" true (a == get ());
+        check_int "one compute" 1 !calls);
+    quick "four domains racing on one key compute it once" (fun () ->
+        let store = Graph_memo.create () in
+        let g = Generators.cycle 5 in
+        let calls = Atomic.make 0 in
+        let results =
+          race 4 (fun _ ->
+              Graph_memo.find_or_add store g "k" (fun () ->
+                  Atomic.incr calls;
+                  (* hold the entry long enough for the others to queue *)
+                  Unix.sleepf 0.02;
+                  ref 0))
+        in
+        check_int "one compute" 1 (Atomic.get calls);
+        check_bool "every racer got the same value" true
+          (List.for_all (fun r -> r == List.hd results) results));
+    quick "distinct keys compute concurrently" (fun () ->
+        (* each compute waits for the other to start: under one lock they
+           would run in turn and both time out *)
+        let store = Graph_memo.create () in
+        let g = Generators.cycle 5 in
+        let started = Array.init 2 (fun _ -> Atomic.make false) in
+        let saw_other =
+          race 2 (fun i ->
+              Graph_memo.find_or_add store g i (fun () ->
+                  Atomic.set started.(i) true;
+                  let deadline = Unix.gettimeofday () +. 5. in
+                  while (not (Atomic.get started.(1 - i))) && Unix.gettimeofday () < deadline do
+                    Domain.cpu_relax ()
+                  done;
+                  Atomic.get started.(1 - i)))
+        in
+        check_bool "both computes overlapped" true (saw_other = [ true; true ]));
+    quick "distinct graphs and keys never share an entry" (fun () ->
+        let store = Graph_memo.create () in
+        (* structurally equal, separately built *)
+        let g = Generators.cycle 5 and h = Generators.cycle 5 in
+        let calls = ref 0 in
+        let get graph key = Graph_memo.find_or_add store graph key (fun () -> incr calls; ref key) in
+        let cells = [ get g 1; get g 2; get h 1; get h 2 ] in
+        check_int "four computes" 4 !calls;
+        List.iteri
+          (fun i a ->
+            List.iteri (fun j b -> if i <> j then check_bool "distinct values" false (a == b)) cells)
+          cells;
+        check_int "fold sees g's keys" 3 (Graph_memo.fold store g (fun k _ acc -> acc + k) 0);
+        check_bool "each under its own key" true
+          (Graph_memo.fold store h (fun k v acc -> acc && !v = k) true);
+        check_int "unknown graph folds to init" 7
+          (Graph_memo.fold store (Generators.cycle 5) (fun _ _ acc -> acc + 1) 7));
+    quick "a raising compute leaves the entry empty" (fun () ->
+        let store = Graph_memo.create () in
+        let g = Generators.cycle 5 in
+        (match Graph_memo.find_or_add store g () (fun () -> failwith "boom") with
+        | _ -> Alcotest.fail "expected the compute's exception"
+        | exception Failure _ -> ());
+        check_int "nothing to fold" 0 (Graph_memo.fold store g (fun () _ acc -> acc + 1) 0);
+        check_int "next caller computes" 3 (Graph_memo.find_or_add store g () (fun () -> 3)));
+    quick "a value dies with its graph" (fun () ->
+        let store = Graph_memo.create () in
+        let dropped = Weak.create 1 in
+        memo_on_dropped_graph store dropped;
+        (* control: the same kind of value on a graph still in use *)
+        let kept_graph = Generators.cycle 6 in
+        let kept = Weak.create 1 in
+        Weak.set kept 0 (Some (Graph_memo.find_or_add store kept_graph () (fun () -> ref 6)));
+        Gc.full_major ();
+        check_bool "the dropped graph's value is collected" false (Weak.check dropped 0);
+        check_bool "the live graph's value stays" true (Weak.check kept 0);
+        check_int "and is still served" 6
+          !(Graph_memo.find_or_add store kept_graph () (fun () -> ref 0)));
+  ]
+
 let suites =
   [
     ("graph:core", graph_tests);
@@ -522,6 +625,7 @@ let suites =
     ("graph:families", family_tests);
     ("graph:generators", generator_tests);
     ("graph:neighborhood", neighborhood_tests);
+    ("graph:memo", memo_tests);
     ("graph:identifiers", identifier_tests);
     ("graph:certificates", certificate_tests);
     ("graph:structural", structural_tests);

@@ -149,7 +149,27 @@ let test_memoisation () =
   let arbiter, universes = arb "2-color-verifier" in
   let a = search ~name:"2-color-verifier" ~arbiter ~universes "even-cycle" 4 in
   let b = search ~name:"2-color-verifier" ~arbiter ~universes "even-cycle" 4 in
-  check_bool "memoised result is the same value" true (a == b)
+  check_bool "memoised result is the same value" true (a == b);
+  (* sizes 4 and 9 both build the 3x3 torus: one search, one row *)
+  let t4 = search ~name:"2-color-verifier" ~arbiter ~universes "torus" 4 in
+  let t9 = search ~name:"2-color-verifier" ~arbiter ~universes "torus" 9 in
+  check_bool "one torus, one result" true (t4 == t9);
+  check_int "built size" 9 t4.Opt.r_size
+
+let test_search_graph_per_graph () =
+  (* a memo keyed on (label, node count) answered the second graph with
+     the first graph's optimum *)
+  let arbiter, universes = arb "2-color-verifier" in
+  let probe g = Opt.search_graph ~name:"2-color-verifier" ~arbiter ~universes ~label:"probe" g in
+  check_int "C6 needs one bit" 1 (opt_bits (probe (Generators.cycle 6)));
+  let odd =
+    (* C5 with a pendant node: six nodes, an odd cycle *)
+    Graph.make ~labels:(Array.make 6 "1") ~edges:[ (0, 1); (1, 2); (2, 3); (3, 4); (4, 0); (0, 5) ]
+  in
+  let r = probe odd in
+  check_string "odd cycle rejected" "rejected" (Opt.verdict_string r.Opt.r_verdict);
+  check_string "label kept" "probe" r.Opt.r_family;
+  check_bool "same graph, same result" true (r == probe odd)
 
 let test_family_env_knobs () =
   check_bool "default sizes pass through" true (Opt.family_sizes ~default:[ 4; 6 ] = [ 4; 6 ]);
@@ -265,6 +285,7 @@ let suites =
         quick "sigma2 optimum with core proof" test_sigma2_optimum;
         quick "explicit engines agree" test_engines_fixed_explicitly;
         quick "search is memoised" test_memoisation;
+        quick "search_graph never shares a result between graphs" test_search_graph_per_graph;
         quick "env knob defaults" test_family_env_knobs;
       ] );
     ( "cert-reduction",
