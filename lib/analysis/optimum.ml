@@ -3,7 +3,6 @@ module Graph_memo = Lph_graph.Graph_memo
 module Gen = Lph_graph.Generators
 module Ids = Lph_graph.Identifiers
 module Certs = Lph_graph.Certificates
-module Cnf = Lph_boolean.Cnf
 module Solver = Lph_boolean.Solver
 module Arbiter = Lph_hierarchy.Arbiter
 module Game = Lph_hierarchy.Game
@@ -74,16 +73,16 @@ let budget_cap ~natural =
 
 type core_proof = {
   p_budget : int;
-  core : Cnf.clause;
-  p_assumptions : Cnf.clause;
-  p_cnf : Cnf.t;
+  core : int list;
+  p_assumptions : int list;
+  p_clauses : int array array;
 }
 
 type proof = Core of core_proof | Refuted_by_game of int | Floor
 
 let replay p =
   let s = Solver.create () in
-  List.iter (Solver.add_clause s) p.p_cnf;
+  Array.iter (Solver.add_clause s) p.p_clauses;
   Option.is_none (Solver.solve_with ~assumptions:p.core s)
 
 let core_subset p = List.for_all (fun l -> List.mem l p.p_assumptions) p.core
@@ -153,7 +152,8 @@ let lower_bound_proof arbiter g ~ids ~universes ~eve ~budget =
       match Game_sat.solve_constrained inst ~assumptions:bans ~eve:true with
       | `Model _ -> Ok (Refuted_by_game budget)
       | `Unsat (core, assumed) ->
-          Ok (Core { p_budget = budget; core; p_assumptions = assumed; p_cnf = Game_sat.cnf inst }))
+          let p_clauses = Game_sat.clauses inst in
+          Ok (Core { p_budget = budget; core; p_assumptions = assumed; p_clauses }))
 
 (* The requested engine leads and an engine sharing none of its
    machinery checks it: pruned search checks CEGAR, CEGAR checks the

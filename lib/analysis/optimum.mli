@@ -47,9 +47,11 @@ val budget_cap : natural:int -> int
 
 type core_proof = {
   p_budget : int;  (** the refuted budget *)
-  core : Lph_boolean.Cnf.clause;  (** failed-assumption subset *)
-  p_assumptions : Lph_boolean.Cnf.clause;  (** what the search assumed *)
-  p_cnf : Lph_boolean.Cnf.t;  (** the compiled game clauses *)
+  core : int list;  (** failed-assumption subset *)
+  p_assumptions : int list;  (** what the search assumed *)
+  p_clauses : int array array;
+      (** the compiled game's clause store ({!Lph_hierarchy.Game_sat.clauses}),
+          shared with the instance, not copied *)
 }
 
 type proof =
@@ -64,7 +66,7 @@ type proof =
           no certificate levels at all) *)
 
 val replay : core_proof -> bool
-(** Load [p_cnf] into a fresh solver and solve under [core] alone:
+(** Load [p_clauses] into a fresh solver and solve under [core] alone:
     [true] iff the answer is UNSAT again — the proof stands on the
     clauses, not on the searching solver's learned state. *)
 

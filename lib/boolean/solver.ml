@@ -15,10 +15,13 @@
      learned clauses are kept, which is what makes assumption-based
      re-solving of the game CNF fast.
 
-   Variables are interned: the external (string) names of {!Cnf} map to
-   dense integers, and a literal is [2*var + (0 if positive else 1)].
-   All mutable state (watch lists, trail, activities) stays private to
-   this module; the interface only exposes solving and statistics. *)
+   Literals are DIMACS integers: variable [v >= 1] is the literal [v],
+   its negation [-v]. Internally a literal is [2*v + (0 if positive
+   else 1)], and slot 0 of every per-variable array is an unused
+   dummy. Variables come into existence when a clause or an assumption
+   first mentions them. All mutable state (watch lists, trail,
+   activities) stays private to this module; the interface only
+   exposes solving and statistics. *)
 
 type cls = { lits : int array }
 
@@ -32,9 +35,7 @@ type stats = {
 }
 
 type t = {
-  mutable names : string array;  (* var -> external name *)
-  ids : (string, int) Hashtbl.t;  (* external name -> var *)
-  mutable nvars : int;
+  mutable nvars : int;  (* variables are 1 .. nvars *)
   (* per-variable state, capacity [Array.length assign] *)
   mutable assign : int array;  (* -1 unassigned / 0 false / 1 true *)
   mutable level : int array;
@@ -63,8 +64,6 @@ type t = {
 
 let create () =
   {
-    names = Array.make 16 "";
-    ids = Hashtbl.create 64;
     nvars = 0;
     assign = Array.make 16 (-1);
     level = Array.make 16 0;
@@ -99,59 +98,6 @@ let stats s =
     restarts = s.s_restarts;
   }
 
-(* ---- cloning ------------------------------------------------------- *)
-
-(* Clause values are mutable and each lives in exactly two watch lists
-   (and possibly in [reason] slots), so the copy must preserve clause
-   IDENTITY: one fresh clause per original, reused wherever the
-   original appeared. Keyed on physical equality — [Hashtbl.hash] is
-   depth-bounded, so structurally similar clauses only cost a few
-   [==] probes. *)
-module Cls_tbl = Hashtbl.Make (struct
-  type t = cls
-
-  let equal = ( == )
-
-  let hash c = Hashtbl.hash c.lits
-end)
-
-let copy s =
-  let tbl = Cls_tbl.create 256 in
-  let dup c =
-    match Cls_tbl.find_opt tbl c with
-    | Some c' -> c'
-    | None ->
-        let c' = { lits = Array.copy c.lits } in
-        Cls_tbl.add tbl c c';
-        c'
-  in
-  {
-    names = Array.copy s.names;
-    ids = Hashtbl.copy s.ids;
-    nvars = s.nvars;
-    assign = Array.copy s.assign;
-    level = Array.copy s.level;
-    reason = Array.map (Option.map dup) s.reason;
-    activity = Array.copy s.activity;
-    polarity = Array.copy s.polarity;
-    seen = Array.copy s.seen;
-    watches = Array.map (List.map dup) s.watches;
-    trail = Array.copy s.trail;
-    trail_n = s.trail_n;
-    trail_lim = Array.copy s.trail_lim;
-    dlevel = s.dlevel;
-    qhead = s.qhead;
-    var_inc = s.var_inc;
-    root_conflict = s.root_conflict;
-    last_core = s.last_core;
-    s_decisions = 0;
-    s_propagations = 0;
-    s_conflicts = 0;
-    s_learned = 0;
-    s_max_backjump = 0;
-    s_restarts = 0;
-  }
-
 (* ---- literals ----------------------------------------------------- *)
 
 let var_of l = l lsr 1
@@ -159,8 +105,6 @@ let var_of l = l lsr 1
 let neg_lit l = l lxor 1
 
 let lit_of_var v ~positive = if positive then 2 * v else (2 * v) + 1
-
-let lit_of_cnf s_var (l : Cnf.literal) = lit_of_var (s_var l.Cnf.var) ~positive:l.Cnf.positive
 
 (* -1 unassigned, 0 false, 1 true — of the literal, not the variable *)
 let value s l =
@@ -172,26 +116,28 @@ let grow arr len fill =
   Array.blit arr 0 a 0 (Array.length arr);
   a
 
-let intern s name =
-  match Hashtbl.find_opt s.ids name with
-  | Some v -> v
-  | None ->
-      let v = s.nvars in
-      s.nvars <- v + 1;
-      if v >= Array.length s.assign then begin
-        s.names <- grow s.names (v + 1) "";
-        s.assign <- grow s.assign (v + 1) (-1);
-        s.level <- grow s.level (v + 1) 0;
-        s.reason <- grow s.reason (v + 1) None;
-        s.activity <- grow s.activity (v + 1) 0.;
-        s.polarity <- grow s.polarity (v + 1) false;
-        s.seen <- grow s.seen (v + 1) false;
-        s.trail <- grow s.trail (v + 1) 0
-      end;
-      if 2 * v + 1 >= Array.length s.watches then s.watches <- grow s.watches (2 * v + 2) [];
-      s.names.(v) <- name;
-      Hashtbl.replace s.ids name v;
-      v
+let var_of_int l = if l = 0 then invalid_arg "Solver: 0 is not a literal" else abs l
+
+(* The internal literal of a DIMACS one, bringing its variable (and
+   every smaller one) into existence. *)
+let internal s l =
+  let v = var_of_int l in
+  if v > s.nvars then begin
+    if v >= Array.length s.assign then begin
+      s.assign <- grow s.assign (v + 1) (-1);
+      s.level <- grow s.level (v + 1) 0;
+      s.reason <- grow s.reason (v + 1) None;
+      s.activity <- grow s.activity (v + 1) 0.;
+      s.polarity <- grow s.polarity (v + 1) false;
+      s.seen <- grow s.seen (v + 1) false;
+      s.trail <- grow s.trail (v + 1) 0
+    end;
+    if (2 * v) + 1 >= Array.length s.watches then s.watches <- grow s.watches ((2 * v) + 2) [];
+    s.nvars <- v
+  end;
+  lit_of_var v ~positive:(l > 0)
+
+let external_lit l = if l land 1 = 0 then var_of l else -var_of l
 
 (* ---- trail -------------------------------------------------------- *)
 
@@ -286,7 +232,7 @@ let propagate s =
 (* ---- VSIDS -------------------------------------------------------- *)
 
 let rescale s =
-  for v = 0 to s.nvars - 1 do
+  for v = 1 to s.nvars do
     s.activity.(v) <- s.activity.(v) *. 1e-100
   done;
   s.var_inc <- s.var_inc *. 1e-100
@@ -299,7 +245,7 @@ let decay s = s.var_inc <- s.var_inc /. 0.95
 
 let pick_branch_var s =
   let best = ref (-1) and best_act = ref neg_infinity in
-  for v = 0 to s.nvars - 1 do
+  for v = 1 to s.nvars do
     if s.assign.(v) < 0 && s.activity.(v) > !best_act then begin
       best := v;
       best_act := s.activity.(v)
@@ -371,37 +317,34 @@ let learn s lits_list bj =
 
 (* ---- clause addition ---------------------------------------------- *)
 
-exception Found_true
-
 (* Clauses are added at decision level 0 (every [solve_with] returns
    with the trail rewound), so literals already assigned are assigned
    permanently: true literals discharge the clause, false ones are
-   dropped. *)
-let add_clause s (clause : Cnf.clause) =
+   dropped. The caller's array is never written: the solver works on a
+   sorted copy, where repeated literals and complementary pairs sit
+   side by side. *)
+let add_clause s clause =
+  let lits = Array.map (internal s) clause in
   backtrack s 0;
   if not s.root_conflict then begin
-    let seen_lits = Hashtbl.create 8 in
-    match
-      List.fold_left
-        (fun acc cl ->
-          let l = lit_of_cnf (intern s) cl in
-          if Hashtbl.mem seen_lits (neg_lit l) then raise Found_true (* tautology *)
-          else if Hashtbl.mem seen_lits l then acc
-          else begin
-            Hashtbl.replace seen_lits l ();
-            match value s l with
-            | 1 -> raise Found_true (* satisfied at root *)
-            | 0 -> acc (* permanently false: drop *)
-            | _ -> l :: acc
-          end)
-        [] clause
-    with
-    | [] -> s.root_conflict <- true
-    | [ l ] ->
-        if not (enqueue s l None) then s.root_conflict <- true
-        else if propagate s <> None then s.root_conflict <- true
-    | lits -> attach s { lits = Array.of_list (List.rev lits) }
-    | exception Found_true -> ()
+    Array.sort Int.compare lits;
+    let kept = ref [] and satisfied = ref false in
+    Array.iteri
+      (fun i l ->
+        if i > 0 && l = neg_lit lits.(i - 1) then satisfied := true (* tautology *)
+        else if i = 0 || l <> lits.(i - 1) then
+          match value s l with
+          | 1 -> satisfied := true (* satisfied at root *)
+          | 0 -> () (* permanently false: drop *)
+          | _ -> kept := l :: !kept)
+      lits;
+    if not !satisfied then
+      match !kept with
+      | [] -> s.root_conflict <- true
+      | [ l ] ->
+          if not (enqueue s l None) then s.root_conflict <- true
+          else if propagate s <> None then s.root_conflict <- true
+      | kept -> attach s { lits = Array.of_list (List.rev kept) }
   end
 
 (* ---- search ------------------------------------------------------- *)
@@ -432,13 +375,10 @@ let analyze_final s p =
   end;
   !core
 
-let extract_model s =
-  let model = Array.sub s.assign 0 s.nvars in
-  let ids = Hashtbl.copy s.ids in
-  fun name ->
-    match Hashtbl.find_opt ids name with Some v -> model.(v) = 1 | None -> false
+let extract_model s = Array.init (s.nvars + 1) (fun v -> s.assign.(v) = 1)
 
-let solve_with ?(assumptions : Cnf.clause = []) s =
+let solve_with ?(assumptions = []) s =
+  let assumptions = Array.of_list (List.map (internal s) assumptions) in
   if s.root_conflict then begin
     (* the clause database alone is unsatisfiable: the empty core *)
     s.last_core <- Some [];
@@ -446,7 +386,6 @@ let solve_with ?(assumptions : Cnf.clause = []) s =
   end
   else begin
     backtrack s 0;
-    let assumptions = Array.of_list (List.map (lit_of_cnf (intern s)) assumptions) in
     let n_assumed = Array.length assumptions in
     (* pessimistic default: every UNSAT exit other than a failed
        assumption is a root conflict, where the empty core is right *)
@@ -519,23 +458,31 @@ let solve_with ?(assumptions : Cnf.clause = []) s =
 let unsat_core s =
   match s.last_core with
   | None -> invalid_arg "Solver.unsat_core: last solve was satisfiable (or no solve has run)"
-  | Some core ->
-      List.rev_map
-        (fun l ->
-          let name = s.names.(var_of l) in
-          if l land 1 = 0 then Cnf.pos name else Cnf.neg name)
-        core
+  | Some core -> List.rev_map external_lit core
 
-let root_value s name =
-  match Hashtbl.find_opt s.ids name with
-  | None -> None
-  | Some v -> if s.assign.(v) < 0 || s.level.(v) > 0 then None else Some (s.assign.(v) = 1)
+let root_value s l =
+  let v = var_of_int l in
+  if v > s.nvars || s.assign.(v) < 0 || s.level.(v) > 0 then None
+  else Some (s.assign.(v) = 1 = (l > 0))
 
-(* ---- one-shot compatibility API ----------------------------------- *)
+(* ---- one-shot API over named variables ----------------------------- *)
 
-let solve cnf =
+(* The names are numbered in order of first appearance. *)
+let solve (cnf : Cnf.t) =
+  let ids = Hashtbl.create 64 in
+  let var name =
+    match Hashtbl.find_opt ids name with
+    | Some v -> v
+    | None ->
+        let v = Hashtbl.length ids + 1 in
+        Hashtbl.add ids name v;
+        v
+  in
+  let lit (l : Cnf.literal) = if l.positive then var l.var else -var l.var in
   let s = create () in
-  List.iter (add_clause s) cnf;
-  solve_with s
+  List.iter (fun clause -> add_clause s (Array.of_list (List.map lit clause))) cnf;
+  Option.map
+    (fun model name -> match Hashtbl.find_opt ids name with Some v -> model.(v) | None -> false)
+    (solve_with s)
 
 let satisfiable cnf = Option.is_some (solve cnf)

@@ -5,9 +5,16 @@
     touching the clause database. This is the satisfiability backend
     for SAT-GRAPH, the Cook–Levin cross-checks, the [`Cegar] game
     engine and the certificate-budget optimiser ({!Lph_hierarchy}
-    compiles certificate games to CNF and re-solves them under
-    assumptions selecting the outer players' certificate bits or
+    compiles certificate games to integer clauses and re-solves them
+    under assumptions selecting the outer players' certificate bits or
     banning over-budget certificates).
+
+    Literals are DIMACS integers: a variable is an [int v >= 1], the
+    literal [v] asserts it and [-v] negates it; [0] is not a literal
+    and raises [Invalid_argument] wherever a literal is expected. A
+    variable exists once a clause or an assumption mentions it, and
+    every smaller variable with it. Named variables ({!Cnf}) reach the
+    solver only through the one-shot {!solve} and {!satisfiable}.
 
     The solver's mutable state — watch lists, trail, activities — is
     deliberately not exported; a solver value is only usable through
@@ -19,32 +26,26 @@ type t
 
 val create : unit -> t
 
-val copy : t -> t
-(** An independent deep copy: same interned variables, clause database
-    (including clauses learned so far), saved phases and activities —
-    but clauses added or learned on either side afterwards are
-    invisible to the other. This is what lets the CEGAR game engine
-    fork a compiled game CNF into a private proposer solver and keep
-    feeding it blocking clauses without polluting the shared instance.
-    Statistics counters start from zero in the copy. *)
-
-val add_clause : t -> Cnf.clause -> unit
+val add_clause : t -> int array -> unit
 (** Add a clause permanently. Tautologies are discarded, duplicate
     literals merged, and literals already decided at the root level
     simplified away; adding the empty clause (or a clause whose
     literals are all root-false) makes the instance permanently
-    unsatisfiable. May run unit propagation. *)
+    unsatisfiable. May run unit propagation. The array is read, never
+    written, so one stored clause can be loaded into any number of
+    solvers. *)
 
-val solve_with : ?assumptions:Cnf.clause -> t -> (Bool_formula.var -> bool) option
-(** [solve_with ~assumptions s] is a satisfying valuation of every
+val solve_with : ?assumptions:int list -> t -> bool array option
+(** [solve_with ~assumptions s] is a satisfying assignment of every
     clause added so far with all [assumptions] literals forced true, or
-    [None] if none exists. The valuation is total: variables the solver
-    never saw map to [false]. Assumptions are released afterwards —
-    only clauses learned from genuine conflicts are kept, so repeated
-    calls with different assumptions are cheap (phase saving steers the
+    [None] if none exists. The model is read by variable: [model.(v)]
+    is variable [v]'s value for every [v] the solver has seen (index 0
+    is unused and [false]). Assumptions are released afterwards — only
+    clauses learned from genuine conflicts are kept, so repeated calls
+    with different assumptions are cheap (phase saving steers the
     search back to the previous model). *)
 
-val unsat_core : t -> Cnf.clause
+val unsat_core : t -> int list
 (** After a {!solve_with} that returned [None]: a subset of the
     assumptions passed to that call whose conjunction with the clause
     database is already unsatisfiable (MiniSat's final-conflict
@@ -56,10 +57,10 @@ val unsat_core : t -> Cnf.clause
     [Invalid_argument] if the last solve produced a model or no solve
     has run yet. *)
 
-val root_value : t -> Bool_formula.var -> bool option
-(** The variable's value if it is fixed at decision level 0 — i.e.
-    forced by unit propagation alone, independent of any assumptions —
-    and [None] otherwise. *)
+val root_value : t -> int -> bool option
+(** The literal's value if its variable is fixed at decision level 0 —
+    i.e. forced by unit propagation alone, independent of any
+    assumptions — and [None] otherwise. *)
 
 type stats = {
   decisions : int;
@@ -75,9 +76,10 @@ type stats = {
 val stats : t -> stats
 (** Cumulative counters since [create]. *)
 
-(** {1 One-shot API} *)
+(** {1 One-shot API over named variables} *)
 
 val solve : Cnf.t -> (Bool_formula.var -> bool) option
-(** A satisfying valuation (total on the CNF's variables), or [None]. *)
+(** A satisfying valuation, or [None]. The names are numbered in order
+    of first appearance; names outside the CNF map to [false]. *)
 
 val satisfiable : Cnf.t -> bool

@@ -8,13 +8,13 @@
    counterexample-guided abstraction refinement, the 2QBF playbook
    (RAReQS-style) instantiated on the game's ball-local structure:
 
-   - the PROPOSER is a fork of the compiled game CNF whose mode
-     variable is fixed to its player's optimism — an Eve proposer only
-     models certificate assignments with at least one all-accepting
-     completion, an Adam proposer only those with at least one
-     rejecting completion. Candidates that cannot possibly win are
-     never proposed, and an UNSAT proposer means its player has no
-     unrefuted move left: it loses.
+   - the PROPOSER is a fresh solver loaded with the compiled game's
+     clauses, its mode variable fixed to its player's optimism — an
+     Eve proposer only models certificate assignments with at least
+     one all-accepting completion, an Adam proposer only those with at
+     least one rejecting completion. Candidates that cannot possibly
+     win are never proposed, and an UNSAT proposer means its player
+     has no unrefuted move left: it loses.
    - the REFUTER is the SHARED {!Game_sat} instance: the opponent's
      best reply at the innermost level is one assumption-based solve
      under the proposed prefix, so clauses it learns keep working for
@@ -48,7 +48,6 @@ module G = Lph_graph.Labeled_graph
 module Graph_memo = Lph_graph.Graph_memo
 module N = Lph_graph.Neighborhood
 module Certs = Lph_graph.Certificates
-module Cnf = Lph_boolean.Cnf
 module Solver = Lph_boolean.Solver
 
 type stats = {
@@ -97,7 +96,7 @@ let block d ~proposer ~level ~k nodes =
   d.s_cubes <- d.s_cubes + 1;
   d.s_generalised <- d.s_generalised + (d.n - List.length nodes);
   Solver.add_clause proposer
-    (List.map (fun (u, c) -> Cnf.negate (Game_sat.selector d.inst ~level ~node:u c)) cube)
+    (Array.of_list (List.map (fun (u, c) -> -Game_sat.selector d.inst ~level ~node:u c) cube))
 
 let all_nodes d = List.init d.n Fun.id
 
@@ -160,7 +159,7 @@ and nested_refute d ~proposer ~eve ~level ~prefix ~iters k =
   List.iteri
     (fun l kl ->
       Array.iteri
-        (fun u c -> Solver.add_clause sub [ Game_sat.selector d.inst ~level:l ~node:u c ])
+        (fun u c -> Solver.add_clause sub [| Game_sat.selector d.inst ~level:l ~node:u c |])
         kl)
     prefix;
   let defeated = wins d ~proposer:sub ~eve:(not eve) ~level:(level + 1) ~prefix ~iters in

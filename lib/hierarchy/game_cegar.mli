@@ -3,11 +3,11 @@
     abstraction-refinement duel between incremental CDCL instances,
     instead of enumerating the outer quantifier blocks.
 
-    A {e proposer} — a fork of the {!Game_sat} CNF with the mode
-    variable pinned to its player's optimism — proposes an
-    outermost-block certificate assignment; the {e refuter} (the shared
-    {!Game_sat} instance) searches the remaining blocks for a reply
-    that defeats it; each defeat is generalised through the arbiter's
+    A {e proposer} — a fresh solver loaded with the {!Game_sat}
+    clauses, its mode variable pinned to its player's optimism —
+    proposes an outermost-block certificate assignment; the {e refuter}
+    (the shared {!Game_sat} instance) searches the remaining blocks for
+    a reply that defeats it; each defeat is generalised through the arbiter's
     [Ball r] locality (selectors outside the rejecting node's ball are
     dropped) into a blocking clause on the proposer. Proposals never
     repeat, so the loop terminates; an UNSAT proposer has no unrefuted

@@ -10,20 +10,26 @@
    the full certificate assignments under which every node's radius-r
    verifier accepts:
 
-   - a selector variable [s<level>_<node>_<i>] per (level, node,
-     candidate certificate), under an exactly-one constraint per
-     (level, node) — the direct encoding of the finite universes;
-   - an acceptance variable [a<node>] Tseytin-bound to the node's
-     ball-local verdict, tabulated by enumerating the (memoised)
-     {!Arbiter.ball_checker} over every combination of selections
-     inside the ball — the per-node-ball tableau of the Cook–Levin
-     construction, with {!Lph_boolean.Tseytin} supplying the clause
-     form (the polarity with the smaller table is encoded);
+   - a selector variable per (level, node, candidate certificate),
+     under an exactly-one constraint per (level, node) — the direct
+     encoding of the finite universes;
+   - an acceptance variable [a_u] per node, fixed by the node's
+     ball-local verdict table: every combination of candidate
+     selections inside ball(u, r) is run through the (memoised)
+     {!Arbiter.ball_checker}, and each row becomes one clause — the
+     row's selectors imply [a_u] if the ball accepts, [~a_u] if it
+     rejects. Over exactly-one selectors that table already is a CNF,
+     the per-node-ball tableau of the Cook–Levin construction with no
+     auxiliary variables;
    - a mode variable [m] with clauses [m -> a_u] for every node and
      [~m -> some a_u false], so the SAME solver instance answers both
      leaf questions of the game: assuming [m] asks for an assignment
      every verifier accepts (Eve's move at the last level), assuming
-     [~m] for one that some verifier rejects (Adam's move).
+     [~m] for one that some verifier rejects (Adam's).
+
+   Variables are DIMACS integers numbered by offset: [m] is 1, [a_u]
+   is [2 + u], and the selectors of slot (level, node) follow in one
+   block per slot, in candidate order.
 
    Outer quantifier levels are not re-encoded: callers fix each outer
    certificate through ASSUMPTION literals (the positive selector of
@@ -39,9 +45,6 @@ module G = Lph_graph.Labeled_graph
 module Graph_memo = Lph_graph.Graph_memo
 module N = Lph_graph.Neighborhood
 module Certs = Lph_graph.Certificates
-module BF = Lph_boolean.Bool_formula
-module Cnf = Lph_boolean.Cnf
-module Tseytin = Lph_boolean.Tseytin
 module Solver = Lph_boolean.Solver
 
 type t = {
@@ -50,15 +53,25 @@ type t = {
   levels : int;
   radius : int;  (** the arbiter's declared ball radius *)
   choices : string list array array;  (** level -> node -> candidates *)
+  base : int array array;  (** level -> node -> the slot's first selector *)
   table_entries : int;  (** total tabulated ball configurations *)
-  cnf : Cnf.t;  (** every clause the compilation added, in order *)
+  clauses : int array array;  (** every clause the compilation added, in order *)
 }
 
-let sel l u i = Printf.sprintf "s%d_%d_%d" l u i
+let mode = 1
 
-let acc u = Printf.sprintf "a%d" u
+let acc u = 2 + u
 
-let mode = "m"
+(* Selector blocks follow the acceptance variables, one per (level,
+   node) slot in level-major order. *)
+let selector_bases ~n choices =
+  let next = ref (n + 2) in
+  Array.map
+    (Array.map (fun cands ->
+         let b = !next in
+         next := b + List.length cands;
+         b))
+    choices
 
 (* Tabulating a ball costs [prod over (level, member) of |choices|]
    verifier runs; balls beyond the budget would also produce huge
@@ -73,35 +86,63 @@ let budget () =
       | Some b when b > 0 -> b
       | _ -> invalid_arg "Game_sat: LPH_SAT_BUDGET must be a positive integer")
 
-let exactly_one lits =
+(* The total ball-table size, or [None] once it exceeds [limit]. Every
+   partial product and sum is checked before it is formed, so a star's
+   or a clique's table (far beyond [max_int]) cannot wrap into a small
+   number and pass the budget. *)
+let table_total ~limit ~choices balls =
+  let exception Over in
+  let mul a b = if a > limit / b then raise Over else a * b in
+  let add a b = if a > limit - b then raise Over else a + b in
+  let size members =
+    let slots =
+      List.concat_map
+        (fun v -> Array.to_list (Array.map (fun per_node -> List.length per_node.(v)) choices))
+        members
+    in
+    if List.mem 0 slots then 0 else List.fold_left mul 1 slots
+  in
+  match Array.fold_left (fun acc members -> add acc (size members)) 0 balls with
+  | total -> Some total
+  | exception Over -> None
+
+let exactly_one vars =
   let rec pairs acc = function
     | [] -> acc
-    | l :: rest -> pairs (List.fold_left (fun acc l' -> [ Cnf.negate l; Cnf.negate l' ] :: acc) acc rest) rest
+    | v :: rest -> pairs (List.fold_left (fun acc v' -> [| -v; -v' |] :: acc) acc rest) rest
   in
-  lits :: pairs [] lits
+  Array.of_list vars :: pairs [] vars
 
-(* The ball-local acceptance table of one node: every combination of
-   candidate selections inside ball(u, r), split by verdict. *)
-let tabulate ~check ~choices ~levels ~n members u =
+(* The ball-local acceptance table of node [u], one clause per row:
+   every combination of candidate selections for the ball's (level,
+   member) slots is checked, and the row's selectors imply the
+   verdict. [bufs] holds "" at every non-member, as the checker expects,
+   and is restored to that before returning. *)
+let tabulate ~check ~choices ~base ~levels ~bufs ~emit members u =
   let slots =
-    List.concat_map
-      (fun l -> List.map (fun v -> (l, v)) members)
-      (List.init levels Fun.id)
+    Array.of_list
+      (List.concat_map (fun l -> List.map (fun v -> (l, v)) members) (List.init levels Fun.id))
   in
-  let per_slot =
-    List.map (fun (l, v) -> List.mapi (fun i c -> (l, v, i, c)) choices.(l).(v)) slots
-  in
-  let bufs = Array.init levels (fun _ -> Array.make n "") in
+  let k = Array.length slots in
+  let cands = Array.map (fun (l, v) -> Array.of_list choices.(l).(v)) slots in
   let certs = Array.to_list bufs in
-  let accepting = ref [] and rejecting = ref [] in
-  Seq.iter
-    (fun combo ->
-      List.iter (fun (l, v, _, c) -> bufs.(l).(v) <- c) combo;
-      let selectors = List.map (fun (l, v, i, _) -> BF.Var (sel l v i)) combo in
-      if check u ~certs then accepting := selectors :: !accepting
-      else rejecting := selectors :: !rejecting)
-    (Lph_util.Combinat.product per_slot);
-  (List.rev !accepting, List.rev !rejecting)
+  let row = Array.make (k + 1) 0 in
+  let rec fill j =
+    if j = k then begin
+      row.(k) <- (if check u ~certs then acc u else -acc u);
+      emit (Array.copy row)
+    end
+    else
+      let l, v = slots.(j) in
+      Array.iteri
+        (fun i c ->
+          bufs.(l).(v) <- c;
+          row.(j) <- -(base.(l).(v) + i);
+          fill (j + 1))
+        cands.(j)
+  in
+  fill 0;
+  Array.iter (fun (l, v) -> bufs.(l).(v) <- "") slots
 
 let compile_uncached (a : Arbiter.t) g ~ids ~choices =
   match (a.Arbiter.locality, Arbiter.ball_checker a g ~ids) with
@@ -118,72 +159,53 @@ let compile_uncached (a : Arbiter.t) g ~ids ~choices =
       let n = G.card g in
       let levels = Array.length choices in
       let balls = Array.init n (fun u -> N.ball g ~radius:r u) in
-      let table_size u =
-        List.fold_left
-          (fun acc v ->
-            List.fold_left (fun acc l -> acc * List.length choices.(l).(v)) acc (List.init levels Fun.id))
-          1 balls.(u)
-      in
-      let total = Array.fold_left (fun acc u -> acc + table_size u) 0 (Array.init n Fun.id) in
       let limit = budget () in
-      if total > limit then
-        Result.Error
-          (Lph_util.Error.Resource_exhausted
-             {
-               what = "Game_sat";
-               limit;
-               detail =
-                 Printf.sprintf "ball-table size %d exceeds the LPH_SAT_BUDGET tabulation cap" total;
-             })
-      else begin
-        let solver = Solver.create () in
-        (* the compiled clauses double as the instance's exportable CNF:
-           lower-bound proofs replay assumption cores against it in a
-           fresh solver, so it must be exactly what the solver saw *)
-        let recorded = ref [] in
-        let add_clause solver c =
-          recorded := c :: !recorded;
-          Solver.add_clause solver c
-        in
-        (* acceptance definitions: a_u <-> (ball of u accepts) *)
-        let defs =
-          List.init n (fun u ->
-              let accepting, rejecting =
-                tabulate ~check ~choices ~levels ~n balls.(u) u
-              in
-              let table rows = BF.disj (List.map BF.conj rows) in
-              let accept_formula =
-                if List.length accepting <= List.length rejecting then table accepting
-                else BF.Not (table rejecting)
-              in
-              BF.iff (BF.Var (acc u)) accept_formula)
-        in
-        List.iter (add_clause solver) (Tseytin.transform ~fresh_prefix:"x" (BF.conj defs));
-        (* the finite universes: exactly one candidate per level and node *)
-        Array.iteri
-          (fun l per_node ->
-            Array.iteri
-              (fun u cands ->
-                List.iter (add_clause solver)
-                  (exactly_one (List.mapi (fun i _ -> Cnf.pos (sel l u i)) cands)))
-              per_node)
-          choices;
-        (* mode selection: m forces all-accept, ~m forces a rejection *)
-        List.iter
-          (fun u -> add_clause solver [ Cnf.neg mode; Cnf.pos (acc u) ])
-          (List.init n Fun.id);
-        add_clause solver (Cnf.pos mode :: List.init n (fun u -> Cnf.neg (acc u)));
-        Result.Ok
-          {
-            solver;
-            lock = Mutex.create ();
-            levels;
-            radius = r;
+      match table_total ~limit ~choices balls with
+      | None ->
+          Result.Error
+            (Lph_util.Error.Resource_exhausted
+               {
+                 what = "Game_sat";
+                 limit;
+                 detail = "ball-table size exceeds the LPH_SAT_BUDGET tabulation cap";
+               })
+      | Some total ->
+          let base = selector_bases ~n choices in
+          (* the instance's whole CNF, kept once: its solver, CEGAR forks
+             and lower-bound replays all load these arrays *)
+          let clauses = ref [] in
+          let emit c = clauses := c :: !clauses in
+          let bufs = Array.init levels (fun _ -> Array.make n "") in
+          Array.iteri
+            (fun u members -> tabulate ~check ~choices ~base ~levels ~bufs ~emit members u)
+            balls;
+          (* the finite universes: exactly one candidate per level and node *)
+          Array.iteri
+            (fun l per_node ->
+              Array.iteri
+                (fun u cands ->
+                  List.iter emit (exactly_one (List.mapi (fun i _ -> base.(l).(u) + i) cands)))
+                per_node)
             choices;
-            table_entries = total;
-            cnf = List.rev !recorded;
-          }
-      end
+          (* mode selection: m forces all-accept, ~m forces a rejection *)
+          for u = 0 to n - 1 do
+            emit [| -mode; acc u |]
+          done;
+          emit (Array.append [| mode |] (Array.init n (fun u -> -acc u)));
+          let clauses = Array.of_list (List.rev !clauses) in
+          let solver = Solver.create () in
+          Array.iter (Solver.add_clause solver) clauses;
+          Result.Ok
+            {
+              solver;
+              lock = Mutex.create ();
+              levels;
+              radius = r;
+              choices;
+              base;
+              table_entries = total;
+              clauses;
+            }
 
 (* Compiled instances are reused across game solves (sweeps and
    benchmarks re-solve the same graph under many prefixes), keyed per
@@ -217,30 +239,29 @@ let find_index x xs =
   in
   go 0 xs
 
+let selector t ~level ~node cert =
+  match find_index cert t.choices.(level).(node) with
+  | Some i -> t.base.(level).(node) + i
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Game_sat: certificate %S at node %d is not in level %d's universe" cert
+           node level)
+
 (* Assumption literals pinning the outer levels to the certificates the
    caller chose: the positive selector of each choice (the exactly-one
    constraints propagate the negative ones). *)
 let prefix_assumptions t ~prefix =
   List.concat
     (List.mapi
-       (fun l (k : Certs.t) ->
-         Array.to_list
-           (Array.mapi
-              (fun u c ->
-                match find_index c t.choices.(l).(u) with
-                | Some i -> Cnf.pos (sel l u i)
-                | None ->
-                    invalid_arg
-                      (Printf.sprintf
-                         "Game_sat: outer certificate %S at node %d is not in level %d's universe" c
-                         u l))
-              k))
+       (fun level (k : Certs.t) ->
+         Array.to_list (Array.mapi (fun node c -> selector t ~level ~node c) k))
        prefix)
 
+let mode_lit ~eve = if eve then mode else -mode
+
 let solve_mode t ~prefix ~eve =
-  let mode_lit = if eve then Cnf.pos mode else Cnf.neg mode in
-  Mutex.protect t.lock (fun () ->
-      Solver.solve_with ~assumptions:(mode_lit :: prefix_assumptions t ~prefix) t.solver)
+  let assumptions = mode_lit ~eve :: prefix_assumptions t ~prefix in
+  Mutex.protect t.lock (fun () -> Solver.solve_with ~assumptions t.solver)
 
 let solve_model = solve_mode
 
@@ -249,7 +270,7 @@ let model_level t model ~level =
     (fun u cands ->
       let rec pick i = function
         | [] -> Lph_util.Error.protocol_error ~what:"Game_sat" "model selects no candidate"
-        | c :: rest -> if model (sel level u i) then c else pick (i + 1) rest
+        | c :: rest -> if model.(t.base.(level).(u) + i) then c else pick (i + 1) rest
       in
       pick 0 cands)
     t.choices.(level)
@@ -260,7 +281,7 @@ let eve_leaf t ~prefix =
   | Some model -> Some (model_level t model ~level:(t.levels - 1))
 
 let rejecting_nodes t model =
-  List.filter (fun u -> not (model (acc u))) (List.init (Array.length t.choices.(0)) Fun.id)
+  List.filter (fun u -> not model.(acc u)) (List.init (Array.length t.choices.(0)) Fun.id)
 
 let levels t = t.levels
 
@@ -268,28 +289,20 @@ let radius t = t.radius
 
 let candidates t ~level ~node = t.choices.(level).(node)
 
-let selector t ~level ~node cert =
-  match find_index cert t.choices.(level).(node) with
-  | Some i -> Cnf.pos (sel level node i)
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Game_sat: certificate %S at node %d is not in level %d's universe" cert
-           node level)
-
-(* The clause database is forked under the instance lock: a concurrent
-   solve would leave the trail mid-descent. [solve_with] always rewinds
-   to level 0 before returning, so the fork starts at the root. *)
+(* A fork is a fresh solver loaded from the stored clauses, which
+   nothing writes: it needs no lock, and it shares nothing with the
+   instance's solver. *)
 let fork_solver t ~eve =
-  Mutex.protect t.lock (fun () ->
-      let s = Solver.copy t.solver in
-      Solver.add_clause s [ (if eve then Cnf.pos mode else Cnf.neg mode) ];
-      s)
+  let s = Solver.create () in
+  Array.iter (Solver.add_clause s) t.clauses;
+  Solver.add_clause s [| mode_lit ~eve |];
+  s
 
 let table_entries t = t.table_entries
 
 let solver_stats t = Solver.stats t.solver
 
-let cnf t = t.cnf
+let clauses t = t.clauses
 
 (* Negative selector assumptions banning every candidate certificate
    longer than [budget] at the given levels: together with the
@@ -309,14 +322,13 @@ let budget_assumptions t ~budget ~levels =
               (fun u cands ->
                 List.concat
                   (List.mapi
-                     (fun i c -> if String.length c > budget then [ Cnf.neg (sel l u i) ] else [])
+                     (fun i c -> if String.length c > budget then [ -(t.base.(l).(u) + i) ] else [])
                      cands))
               t.choices.(l))))
     levels
 
 let solve_constrained t ~assumptions ~eve =
-  let mode_lit = if eve then Cnf.pos mode else Cnf.neg mode in
-  let assumptions = mode_lit :: assumptions in
+  let assumptions = mode_lit ~eve :: assumptions in
   Mutex.protect t.lock (fun () ->
       match Solver.solve_with ~assumptions t.solver with
       | Some model -> `Model model

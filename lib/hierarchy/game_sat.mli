@@ -1,12 +1,13 @@
 (** The compilation layer of the SAT-backed game engine: the
     constructive face of the paper's distributed Cook–Levin theorem
     (Theorem 19). A certificate game over explicit finite universes is
-    compiled to one CNF per (arbiter, locality, graph, identifiers,
-    universes) — selector variables with exactly-one constraints encode
-    the per-node candidate choices, per-node acceptance variables are
-    Tseytin-bound to the tabulated radius-r ball verdicts, and a mode
-    variable switches the same instance between "every verifier
-    accepts" (Eve's last move) and "some verifier rejects" (Adam's).
+    compiled to one integer-literal CNF per (arbiter, locality, graph,
+    identifiers, universes) — selector variables with exactly-one
+    constraints encode the per-node candidate choices, each row of a
+    node's tabulated radius-r ball verdicts becomes one clause fixing
+    that node's acceptance variable, and a mode variable switches the
+    same instance between "every verifier accepts" (Eve's last move)
+    and "some verifier rejects" (Adam's).
     Callers fix outer certificates through {e assumption literals}, so
     every question about a compiled game is an incremental
     {!Lph_boolean.Solver.solve_with} call on the same solver: the CNF
@@ -17,9 +18,9 @@
     assumptions. *)
 
 type t
-(** A compiled game instance: one incremental SAT solver plus the
-    materialised choice tables. Safe to share across domains — solver
-    calls are serialised internally. *)
+(** A compiled game instance: its clauses, one incremental SAT solver
+    loaded with them, and the materialised choice tables. Safe to share
+    across domains — solver calls are serialised internally. *)
 
 val compile :
   Arbiter.t ->
@@ -73,9 +74,10 @@ val graph_table_entries : Lph_graph.Labeled_graph.t -> int
 (** {1 CEGAR access}
 
     The [`Cegar] engine ({!Game_cegar}) drives the same compiled CNF
-    from outside: it forks the clause database into a private proposer
-    solver, decodes whole levels out of refutation models, and maps
-    rejecting nodes back to ball-restricted blocking cubes. *)
+    from outside: it loads the clauses into a private proposer solver,
+    decodes whole levels out of refutation models, and maps rejecting
+    nodes back to ball-restricted blocking cubes. Models are
+    {!Lph_boolean.Solver.solve_with} arrays, read by variable. *)
 
 val levels : t -> int
 (** Number of quantifier levels compiled into the instance. *)
@@ -88,35 +90,32 @@ val candidates : t -> level:int -> node:int -> string list
 (** The materialised certificate universe of one (level, node) slot, in
     selector-index order. *)
 
-val selector : t -> level:int -> node:int -> string -> Lph_boolean.Cnf.literal
-(** The positive selector literal of a (level, node, certificate)
-    choice. Raises [Invalid_argument] when the certificate is not in
-    that slot's universe. *)
+val selector : t -> level:int -> node:int -> string -> int
+(** The selector variable of a (level, node, certificate) choice — as
+    a literal, "this slot holds this certificate". Raises
+    [Invalid_argument] when the certificate is not in that slot's
+    universe. *)
 
-val solve_model :
-  t ->
-  prefix:Lph_graph.Certificates.t list ->
-  eve:bool ->
-  (Lph_boolean.Bool_formula.var -> bool) option
+val solve_model : t -> prefix:Lph_graph.Certificates.t list -> eve:bool -> bool array option
 (** The raw model behind {!eve_leaf}: a last-level assignment (under
     the outer [prefix]) making every node accept ([eve:true]) or some
     node reject ([eve:false]), as a full valuation of the instance's
     variables. *)
 
-val model_level : t -> (Lph_boolean.Bool_formula.var -> bool) -> level:int -> Lph_graph.Certificates.t
+val model_level : t -> bool array -> level:int -> Lph_graph.Certificates.t
 (** Decode the certificate assignment a model selects at one level. *)
 
-val rejecting_nodes : t -> (Lph_boolean.Bool_formula.var -> bool) -> int list
+val rejecting_nodes : t -> bool array -> int list
 (** The nodes whose acceptance variable is false in a model — under
     [eve:false] the witnesses Adam's refutation rests on. *)
 
 val fork_solver : t -> eve:bool -> Lph_boolean.Solver.t
-(** A private copy of the instance's solver (clause database, learned
-    clauses, phases) with the mode variable permanently fixed: [eve:true]
-    keeps only assignments every verifier accepts, [eve:false] only
-    those some verifier rejects. The copy is independent — clauses
-    added to it never reach the shared instance — and, like any
-    {!Lph_boolean.Solver.t}, not domain-safe without external locking. *)
+(** A fresh solver loaded with the instance's {!clauses} and the mode
+    variable permanently fixed: [eve:true] keeps only assignments every
+    verifier accepts, [eve:false] only those some verifier rejects. The
+    fork is independent — clauses added to it never reach the shared
+    instance — and, like any {!Lph_boolean.Solver.t}, not domain-safe
+    without external locking. *)
 
 val solver_stats : t -> Lph_boolean.Solver.stats
 (** Counters of the underlying solver, cumulative over every leaf
@@ -131,25 +130,22 @@ val solver_stats : t -> Lph_boolean.Solver.stats
     failed-assumption core that is the machine-checkable lower-bound
     proof. *)
 
-val cnf : t -> Lph_boolean.Cnf.t
-(** Every clause the compilation added, in insertion order: acceptance
-    definitions, exactly-one constraints and mode clauses. Replaying an
-    assumption core against these clauses in a fresh solver is how
-    lower-bound proofs are validated independently of this instance's
+val clauses : t -> int array array
+(** Every clause the compilation added, in insertion order: one per
+    ball-table row, the exactly-one constraints and the mode clauses.
+    The arrays are shared, not copied, and must not be written. Loading
+    them into a fresh solver is how CEGAR forks are made and how
+    lower-bound proofs are replayed independently of this instance's
     learned clauses. *)
 
-val budget_assumptions : t -> budget:int -> levels:int list -> Lph_boolean.Cnf.clause
+val budget_assumptions : t -> budget:int -> levels:int list -> int list
 (** Negative selector literals banning every candidate certificate
     longer than [budget] characters at each of the given levels — the
     assumption form of restricting those universes to the budget.
     Raises [Invalid_argument] on a level outside the instance. *)
 
 val solve_constrained :
-  t ->
-  assumptions:Lph_boolean.Cnf.clause ->
-  eve:bool ->
-  [ `Model of Lph_boolean.Bool_formula.var -> bool
-  | `Unsat of Lph_boolean.Cnf.clause * Lph_boolean.Cnf.clause ]
+  t -> assumptions:int list -> eve:bool -> [ `Model of bool array | `Unsat of int list * int list ]
 (** Solve the instance under the mode literal ([eve:true] = every node
     accepts, [eve:false] = some node rejects) plus arbitrary extra
     assumptions — typically {!budget_assumptions}. [`Unsat (core, assumed)]

@@ -114,18 +114,49 @@ let solver_tests =
         | None -> true);
   ]
 
+(* The incremental API speaks DIMACS integers. [number cnf] numbers a
+   named CNF by hand, in order of first appearance. *)
+let number cnf =
+  let ids = Hashtbl.create 16 in
+  let var name =
+    match Hashtbl.find_opt ids name with
+    | Some v -> v
+    | None ->
+        let v = Hashtbl.length ids + 1 in
+        Hashtbl.add ids name v;
+        v
+  in
+  let lit (l : Cnf.literal) = if l.Cnf.positive then var l.Cnf.var else -var l.Cnf.var in
+  let clauses = List.map (fun c -> Array.of_list (List.map lit c)) cnf in
+  (clauses, lit)
+
+(* the first variables of a CNF, assumed with the given phases *)
+let phase_assumptions cnf lit phases =
+  let vars = List.filteri (fun i _ -> i < List.length phases) (Cnf.vars cnf) in
+  List.map2
+    (fun v positive -> lit (if positive then Cnf.pos v else Cnf.neg v))
+    vars
+    (List.filteri (fun i _ -> i < List.length vars) phases)
+
+let loaded clauses =
+  let s = Sat_solver.create () in
+  List.iter (Sat_solver.add_clause s) clauses;
+  s
+
 let cdcl_tests =
+  let a = 1 and b = 2 and c = 3 and d = 4 in
   [
     quick "unit propagation fixes root values" (fun () ->
         let s = Sat_solver.create () in
-        Sat_solver.add_clause s [ Cnf.neg "a"; Cnf.pos "b" ];
-        Sat_solver.add_clause s [ Cnf.neg "b"; Cnf.pos "c" ];
-        check_bool "nothing forced yet" true (Sat_solver.root_value s "b" = None);
-        Sat_solver.add_clause s [ Cnf.pos "a" ];
-        check_bool "a forced" true (Sat_solver.root_value s "a" = Some true);
-        check_bool "b propagated" true (Sat_solver.root_value s "b" = Some true);
-        check_bool "c propagated" true (Sat_solver.root_value s "c" = Some true);
-        check_bool "unseen var unknown" true (Sat_solver.root_value s "d" = None);
+        Sat_solver.add_clause s [| -a; b |];
+        Sat_solver.add_clause s [| -b; c |];
+        check_bool "nothing forced yet" true (Sat_solver.root_value s b = None);
+        Sat_solver.add_clause s [| a |];
+        check_bool "a forced" true (Sat_solver.root_value s a = Some true);
+        check_bool "b propagated" true (Sat_solver.root_value s b = Some true);
+        check_bool "c propagated" true (Sat_solver.root_value s c = Some true);
+        check_bool "negation read as false" true (Sat_solver.root_value s (-c) = Some false);
+        check_bool "unseen var unknown" true (Sat_solver.root_value s d = None);
         check_bool "propagations counted" true ((Sat_solver.stats s).propagations >= 2);
         check_bool "no decisions taken" true ((Sat_solver.stats s).decisions = 0));
     quick "conflict analysis backjumps over an irrelevant level" (fun () ->
@@ -133,47 +164,49 @@ let cdcl_tests =
            purely from a and c, so the learned clause must jump the
            b level (level 2) in one step *)
         let s = Sat_solver.create () in
-        Sat_solver.add_clause s [ Cnf.neg "a"; Cnf.neg "c"; Cnf.pos "d" ];
-        Sat_solver.add_clause s [ Cnf.neg "a"; Cnf.neg "c"; Cnf.neg "d" ];
+        Sat_solver.add_clause s [| -a; -c; d |];
+        Sat_solver.add_clause s [| -a; -c; -d |];
         check_bool "a,b,c contradictory" true
-          (Sat_solver.solve_with ~assumptions:[ Cnf.pos "a"; Cnf.pos "b"; Cnf.pos "c" ] s = None);
+          (Sat_solver.solve_with ~assumptions:[ a; b; c ] s = None);
         check_bool "jumped at least two levels" true ((Sat_solver.stats s).max_backjump >= 2);
         check_bool "learned a clause" true ((Sat_solver.stats s).learned >= 1);
         (* the clause database is untouched: other assumption sets
            still satisfiable on the same instance *)
-        (match Sat_solver.solve_with ~assumptions:[ Cnf.pos "a"; Cnf.pos "b" ] s with
+        (match Sat_solver.solve_with ~assumptions:[ a; b ] s with
         | None -> Alcotest.fail "a,b should be satisfiable"
-        | Some v -> check_bool "model refutes c" false (v "c"));
-        match Sat_solver.solve_with ~assumptions:[ Cnf.pos "c" ] s with
+        | Some v -> check_bool "model refutes c" false v.(c));
+        match Sat_solver.solve_with ~assumptions:[ c ] s with
         | None -> Alcotest.fail "c alone should be satisfiable"
-        | Some v -> check_bool "model refutes a" false (v "a"));
+        | Some v -> check_bool "model refutes a" false v.(a));
     quick "assumptions do not persist" (fun () ->
+        let p = 1 and q = 2 in
         let s = Sat_solver.create () in
-        Sat_solver.add_clause s [ Cnf.pos "p"; Cnf.pos "q" ];
+        Sat_solver.add_clause s [| p; q |];
         check_bool "p assumable" true
-          (match Sat_solver.solve_with ~assumptions:[ Cnf.pos "p"; Cnf.neg "q" ] s with
-          | Some v -> v "p" && not (v "q")
+          (match Sat_solver.solve_with ~assumptions:[ p; -q ] s with
+          | Some v -> v.(p) && not v.(q)
           | None -> false);
         check_bool "opposite assumption next call" true
-          (match Sat_solver.solve_with ~assumptions:[ Cnf.neg "p" ] s with
-          | Some v -> (not (v "p")) && v "q"
+          (match Sat_solver.solve_with ~assumptions:[ -p ] s with
+          | Some v -> (not v.(p)) && v.(q)
           | None -> false);
-        check_bool "p still open at root" true (Sat_solver.root_value s "p" = None));
+        check_bool "p still open at root" true (Sat_solver.root_value s p = None));
     quick "clauses added between solves take effect" (fun () ->
+        let x = 1 and y = 2 and z = 3 in
         let s = Sat_solver.create () in
-        Sat_solver.add_clause s [ Cnf.pos "x"; Cnf.pos "y" ];
+        Sat_solver.add_clause s [| x; y |];
         check_bool "sat" true (Sat_solver.solve_with s <> None);
-        Sat_solver.add_clause s [ Cnf.neg "x" ];
+        Sat_solver.add_clause s [| -x |];
         check_bool "still sat via y" true
-          (match Sat_solver.solve_with s with Some v -> v "y" | None -> false);
-        Sat_solver.add_clause s [ Cnf.neg "y" ];
+          (match Sat_solver.solve_with s with Some v -> v.(y) | None -> false);
+        Sat_solver.add_clause s [| -y |];
         check_bool "now unsat" true (Sat_solver.solve_with s = None);
-        check_bool "permanently unsat" true (Sat_solver.solve_with ~assumptions:[ Cnf.pos "z" ] s = None));
+        check_bool "permanently unsat" true (Sat_solver.solve_with ~assumptions:[ z ] s = None));
     quick "assumption on a fresh variable" (fun () ->
         let s = Sat_solver.create () in
         check_bool "forced true in the model" true
-          (match Sat_solver.solve_with ~assumptions:[ Cnf.pos "z" ] s with
-          | Some v -> v "z"
+          (match Sat_solver.solve_with ~assumptions:[ 7 ] s with
+          | Some v -> Array.length v = 8 && v.(7)
           | None -> false));
     qcheck ~count:100 "assumption solving agrees with clause addition"
       QCheck.(pair (arb_bool_formula ~depth:3 ()) (small_list bool))
@@ -181,49 +214,63 @@ let cdcl_tests =
         (* solving under assumptions == satisfiability of the CNF with
            the assumptions added as unit clauses *)
         let cnf = Tseytin.transform ~fresh_prefix:"aux" f in
-        let vars = List.filteri (fun i _ -> i < List.length phases) (Cnf.vars cnf) in
-        let assumptions =
-          List.map2 (fun v positive -> if positive then Cnf.pos v else Cnf.neg v) vars
-            (List.filteri (fun i _ -> i < List.length vars) phases)
+        let clauses, lit = number cnf in
+        let assumptions = phase_assumptions cnf lit phases in
+        let incremental = Sat_solver.solve_with ~assumptions (loaded clauses) <> None in
+        let oneshot =
+          Sat_solver.solve_with (loaded (List.map (fun l -> [| l |]) assumptions @ clauses)) <> None
         in
-        let s = Sat_solver.create () in
-        List.iter (Sat_solver.add_clause s) cnf;
-        let incremental = Sat_solver.solve_with ~assumptions s <> None in
-        let oneshot = Sat_solver.satisfiable (List.map (fun l -> [ l ]) assumptions @ cnf) in
         incremental = oneshot);
-    quick "copy is an independent snapshot" (fun () ->
+    qcheck ~count:200 "integer and named APIs agree with brute force" (arb_bool_formula ())
+      (fun f ->
+        (* the same CNF three ways: the named one-shot solver, the
+           integer API on a hand numbering, and the truth table of the
+           (equisatisfiable) input formula *)
+        let cnf =
+          match Cnf.of_formula f with
+          | Some cnf -> cnf
+          | None -> Tseytin.transform ~fresh_prefix:"z" f
+        in
+        let clauses, _ = number cnf in
+        let brute = BF.satisfiable f in
+        (match Sat_solver.solve cnf with
+        | None -> not brute
+        | Some v -> brute && Cnf.eval v cnf)
+        &&
+        match Sat_solver.solve_with (loaded clauses) with
+        | None -> not brute
+        | Some model ->
+            brute
+            && List.for_all
+                 (Array.exists (fun l -> if l > 0 then model.(l) else not model.(-l)))
+                 clauses);
+    quick "loading a stored clause leaves it unchanged" (fun () ->
+        (* CEGAR forks and proof replays load one clause store into
+           many solvers: no solver may write the arrays it was given *)
+        let store = [| [| 3; -1; 2; 3 |]; [| -2; -3 |]; [| 1; 2 |]; [| -1; 1; 4 |] |] in
+        let snapshot = Array.map Array.copy store in
+        let s1 = Sat_solver.create () and s2 = Sat_solver.create () in
+        Array.iter (Sat_solver.add_clause s1) store;
+        ignore (Sat_solver.solve_with ~assumptions:[ -3 ] s1);
+        Array.iter (Sat_solver.add_clause s2) store;
+        ignore (Sat_solver.solve_with ~assumptions:[ 3; 1 ] s2);
+        check_bool "store unchanged" true (store = snapshot);
+        check_bool "both solvers answer alike" true
+          (List.for_all
+             (fun assumptions ->
+               Sat_solver.solve_with ~assumptions s1 <> None
+               = (Sat_solver.solve_with ~assumptions s2 <> None))
+             [ []; [ 3 ]; [ -1; -2 ]; [ 1; 3 ] ]));
+    quick "literal 0 is rejected" (fun () ->
         let s = Sat_solver.create () in
-        Sat_solver.add_clause s [ Cnf.pos "a"; Cnf.pos "b" ];
-        Sat_solver.add_clause s [ Cnf.neg "a"; Cnf.pos "c" ];
-        check_bool "original sat" true (Sat_solver.solve_with s <> None);
-        let s' = Sat_solver.copy s in
-        check_bool "copy counts from zero" true ((Sat_solver.stats s').decisions = 0);
-        Sat_solver.add_clause s' [ Cnf.neg "a" ];
-        Sat_solver.add_clause s' [ Cnf.neg "b" ];
-        check_bool "copy driven unsat" true (Sat_solver.solve_with s' = None);
-        check_bool "original untouched" true
-          (match Sat_solver.solve_with ~assumptions:[ Cnf.pos "a" ] s with
-          | Some v -> v "a" && v "c"
-          | None -> false);
-        Sat_solver.add_clause s [ Cnf.neg "c" ];
-        check_bool "original driven unsat under a" true
-          (Sat_solver.solve_with ~assumptions:[ Cnf.pos "a" ] s = None);
-        check_bool "copy's verdict unchanged" true (Sat_solver.solve_with s' = None));
-    quick "copy preserves learned state" (fun () ->
-        (* same instance as the backjump test: learn on the original,
-           copy, and the copy must answer every assumption set alike *)
-        let s = Sat_solver.create () in
-        Sat_solver.add_clause s [ Cnf.neg "a"; Cnf.neg "c"; Cnf.pos "d" ];
-        Sat_solver.add_clause s [ Cnf.neg "a"; Cnf.neg "c"; Cnf.neg "d" ];
-        check_bool "a,c contradictory" true
-          (Sat_solver.solve_with ~assumptions:[ Cnf.pos "a"; Cnf.pos "c" ] s = None);
-        let s' = Sat_solver.copy s in
-        List.iter
-          (fun assumptions ->
-            check_bool "copy agrees with original" true
-              (Sat_solver.solve_with ~assumptions s' <> None
-              = (Sat_solver.solve_with ~assumptions s <> None)))
-          [ [ Cnf.pos "a"; Cnf.pos "c" ]; [ Cnf.pos "a" ]; [ Cnf.pos "c" ]; [] ]);
+        let rejects what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+          | exception Invalid_argument _ -> ()
+        in
+        rejects "add_clause" (fun () -> Sat_solver.add_clause s [| 1; 0 |]);
+        rejects "assumption" (fun () -> ignore (Sat_solver.solve_with ~assumptions:[ 0 ] s));
+        rejects "root_value" (fun () -> ignore (Sat_solver.root_value s 0)));
     quick "restarts fire on a hard instance without changing the verdict" (fun () ->
         let var i h = Printf.sprintf "p%d_%d" i h in
         let pigeonhole ~pigeons ~holes =
@@ -238,58 +285,49 @@ let cdcl_tests =
                   (List.init pigeons Fun.id))
               (List.init holes Fun.id)
         in
-        let s = Sat_solver.create () in
-        List.iter (Sat_solver.add_clause s) (pigeonhole ~pigeons:7 ~holes:6);
+        let s = loaded (fst (number (pigeonhole ~pigeons:7 ~holes:6))) in
         check_bool "7 pigeons, 6 holes: unsat" true (Sat_solver.solve_with s = None);
         let st = Sat_solver.stats s in
         check_bool "enough conflicts to restart" true (st.conflicts > 100);
         check_bool "restarted at least once" true (st.restarts >= 1);
         let sat_instance = pigeonhole ~pigeons:6 ~holes:6 in
-        let s2 = Sat_solver.create () in
-        List.iter (Sat_solver.add_clause s2) sat_instance;
-        match Sat_solver.solve_with s2 with
+        let clauses, lit = number sat_instance in
+        match Sat_solver.solve_with (loaded clauses) with
         | None -> Alcotest.fail "6 pigeons fit 6 holes"
-        | Some v -> check_bool "model is real" true (Cnf.eval v sat_instance));
+        | Some v ->
+            check_bool "model is real" true
+              (Cnf.eval (fun name -> v.(lit (Cnf.pos name))) sat_instance));
   ]
 
 let unsat_core_tests =
+  let a = 1 and b = 2 and c = 3 and d = 4 in
   [
     quick "core names only the relevant assumptions" (fun () ->
         (* a forces c which is banned; d is irrelevant and must not
            pollute the core *)
-        let s = Sat_solver.create () in
-        Sat_solver.add_clause s [ Cnf.neg "a"; Cnf.pos "b" ];
-        Sat_solver.add_clause s [ Cnf.neg "b"; Cnf.pos "c" ];
-        Sat_solver.add_clause s [ Cnf.neg "c" ];
-        check_bool "unsat under a, d" true
-          (Sat_solver.solve_with ~assumptions:[ Cnf.pos "a"; Cnf.pos "d" ] s = None);
+        let s = loaded [ [| -a; b |]; [| -b; c |]; [| -c |] ] in
+        check_bool "unsat under a, d" true (Sat_solver.solve_with ~assumptions:[ a; d ] s = None);
         let core = Sat_solver.unsat_core s in
-        check_bool "a in core" true (List.mem (Cnf.pos "a") core);
-        check_bool "d not in core" false (List.mem (Cnf.pos "d") core);
+        check_bool "a in core" true (List.mem a core);
+        check_bool "d not in core" false (List.mem d core);
         check_bool "core within assumptions" true
-          (List.for_all (fun l -> List.mem l [ Cnf.pos "a"; Cnf.pos "d" ]) core));
+          (List.for_all (fun l -> List.mem l [ a; d ]) core));
     quick "core replays to unsat in a fresh solver" (fun () ->
-        let clauses =
-          [ [ Cnf.neg "a"; Cnf.pos "b" ]; [ Cnf.neg "b"; Cnf.pos "c" ]; [ Cnf.neg "c" ] ]
-        in
-        let s = Sat_solver.create () in
-        List.iter (Sat_solver.add_clause s) clauses;
-        check_bool "unsat" true (Sat_solver.solve_with ~assumptions:[ Cnf.pos "a" ] s = None);
+        let clauses = [ [| -a; b |]; [| -b; c |]; [| -c |] ] in
+        let s = loaded clauses in
+        check_bool "unsat" true (Sat_solver.solve_with ~assumptions:[ a ] s = None);
         let core = Sat_solver.unsat_core s in
-        let fresh = Sat_solver.create () in
-        List.iter (Sat_solver.add_clause fresh) clauses;
-        check_bool "replay unsat" true (Sat_solver.solve_with ~assumptions:core fresh = None));
+        check_bool "replay unsat" true
+          (Sat_solver.solve_with ~assumptions:core (loaded clauses) = None));
     quick "root-level unsat yields an empty core" (fun () ->
-        let s = Sat_solver.create () in
-        Sat_solver.add_clause s [ Cnf.pos "x" ];
-        Sat_solver.add_clause s [ Cnf.neg "x" ];
+        let x = 1 and y = 2 in
+        let s = loaded [ [| x |]; [| -x |] ] in
         check_bool "unsat without assumptions" true
-          (Sat_solver.solve_with ~assumptions:[ Cnf.pos "y" ] s = None);
+          (Sat_solver.solve_with ~assumptions:[ y ] s = None);
         check_bool "empty core" true (Sat_solver.unsat_core s = []));
     quick "core unavailable after a satisfiable solve" (fun () ->
-        let s = Sat_solver.create () in
-        Sat_solver.add_clause s [ Cnf.pos "a"; Cnf.pos "b" ];
-        check_bool "sat" true (Sat_solver.solve_with ~assumptions:[ Cnf.pos "a" ] s <> None);
+        let s = loaded [ [| a; b |] ] in
+        check_bool "sat" true (Sat_solver.solve_with ~assumptions:[ a ] s <> None);
         match Sat_solver.unsat_core s with
         | _ -> Alcotest.fail "unsat_core after SAT must raise"
         | exception Invalid_argument _ -> ());
@@ -297,22 +335,15 @@ let unsat_core_tests =
       QCheck.(pair (arb_bool_formula ~depth:3 ()) (small_list bool))
       (fun (f, phases) ->
         let cnf = Tseytin.transform ~fresh_prefix:"aux" f in
-        let vars = List.filteri (fun i _ -> i < List.length phases) (Cnf.vars cnf) in
-        let assumptions =
-          List.map2 (fun v positive -> if positive then Cnf.pos v else Cnf.neg v) vars
-            (List.filteri (fun i _ -> i < List.length vars) phases)
-        in
-        let s = Sat_solver.create () in
-        List.iter (Sat_solver.add_clause s) cnf;
+        let clauses, lit = number cnf in
+        let assumptions = phase_assumptions cnf lit phases in
+        let s = loaded clauses in
         match Sat_solver.solve_with ~assumptions s with
         | Some _ -> true
         | None ->
             let core = Sat_solver.unsat_core s in
             List.for_all (fun l -> List.mem l assumptions) core
-            &&
-            let fresh = Sat_solver.create () in
-            List.iter (Sat_solver.add_clause fresh) cnf;
-            Sat_solver.solve_with ~assumptions:core fresh = None);
+            && Sat_solver.solve_with ~assumptions:core (loaded clauses) = None);
   ]
 
 let boolean_graph_tests =

@@ -118,6 +118,57 @@ let[@inline never] solve_on_dropped_graph insts duels =
       Weak.set duels 0 (Some duel)
   | _ -> Alcotest.fail "C6 2-col should compile"
 
+let robust_universes = [ Candidates.color_universe 2; Candidates.color_universe 2 ]
+
+(* The compiled clauses say exactly what the arbiter says. Every full
+   certificate assignment (a seeded sample of 200 where there are more)
+   is pinned through selector assumptions: Eve's mode must be
+   satisfiable iff the arbiter accepts, Adam's iff it rejects, and
+   Adam's model must reject at exactly the nodes whose verdict is
+   false. *)
+let check_clauses_against_arbiter name (a : Arbiter.t) g ~universes =
+  let ids = global_ids g in
+  match (Game_sat.compile a g ~ids ~universes, a.Arbiter.verdicts) with
+  | None, _ | _, None -> Alcotest.failf "%s should compile" name
+  | Some inst, Some verdicts ->
+      let n = Graph.card g and levels = List.length universes in
+      let slots =
+        List.concat_map
+          (fun level -> List.init n (fun node -> Game_sat.candidates inst ~level ~node))
+          (List.init levels Fun.id)
+      in
+      let total = List.fold_left (fun acc cands -> acc * List.length cands) 1 slots in
+      let assignments =
+        if total <= 200 then List.of_seq (Combinat.product slots)
+        else
+          let rng = Random.State.make [| 0x5a7; n; levels |] in
+          let pick cands = List.nth cands (Random.State.int rng (List.length cands)) in
+          List.init 200 (fun _ -> List.map pick slots)
+      in
+      List.iter
+        (fun flat ->
+          let flat = Array.of_list flat in
+          let certs = List.init levels (fun l -> Array.sub flat (l * n) n) in
+          let pin level k = Array.mapi (fun node c -> Game_sat.selector inst ~level ~node c) k in
+          let assumptions = List.concat (List.mapi (fun l k -> Array.to_list (pin l k)) certs) in
+          let model eve =
+            match Game_sat.solve_constrained inst ~assumptions ~eve with
+            | `Model m -> Some m
+            | `Unsat _ -> None
+          in
+          let accepts = a.Arbiter.accepts g ~ids ~certs in
+          check_bool (name ^ ": Eve mode iff accepted") accepts (model true <> None);
+          match model false with
+          | None -> check_bool (name ^ ": Adam mode iff rejected") true accepts
+          | Some m ->
+              check_bool (name ^ ": Adam mode iff rejected") false accepts;
+              let v = verdicts g ~ids ~certs in
+              Alcotest.(check (list int))
+                (name ^ ": rejecting nodes")
+                (List.filter (fun u -> not v.(u)) (List.init n Fun.id))
+                (Game_sat.rejecting_nodes inst m))
+        assignments
+
 (* The SAT backend: the compilation layer ({!Game_sat}) and the CEGAR
    engine that plays games on it, against pruned search and exhaustive
    enumeration. *)
@@ -255,6 +306,22 @@ let sat_suite =
               check_int "radius-1 instance" 1 (Game_sat.radius i1);
               check_int "radius-0 instance" 0 (Game_sat.radius i0)
           | _ -> Alcotest.fail "both radius variants should compile");
+      quick "compiled clauses agree with the arbiter on every pinned assignment" (fun () ->
+          let c5 = Generators.cycle 5 in
+          check_clauses_against_arbiter "2-col C5" (v2 ()) c5
+            ~universes:[ Candidates.color_universe 2 ];
+          check_clauses_against_arbiter "3-col C5" (v3 ()) c5
+            ~universes:[ Candidates.color_universe 3 ];
+          check_clauses_against_arbiter "robust-2col C5"
+            (Arbiter.of_local_algo ~id_radius:1 Candidates.robust_two_col_verifier)
+            c5 ~universes:robust_universes;
+          let c4 = Generators.cycle 4 in
+          let fagin = Fagin.compile Graph_formulas.two_colorable in
+          check_clauses_against_arbiter "Fagin 2-col C4" fagin.Fagin.arbiter c4
+            ~universes:
+              (Fagin.fragment_universes
+                 ~tuple_filter:(List.for_all (fun e -> e < Graph.card c4))
+                 fagin c4 ~ids:(global_ids c4)));
       quick "instances compiled on a dropped graph are collected" (fun () ->
           (* the lifetime that replaces eviction: the compile and duel
              caches hold nothing once their graph is gone *)
@@ -280,8 +347,6 @@ let echo_verifier =
           | _ -> false))
 
 let bit_universes = [ Game.of_choices [ "0"; "1" ]; Game.of_choices [ "0"; "1" ] ]
-
-let robust_universes = [ Candidates.color_universe 2; Candidates.color_universe 2 ]
 
 let all_bit_certs n =
   List.map Array.of_list (List.of_seq (Combinat.product (List.init n (fun _ -> [ "0"; "1" ]))))

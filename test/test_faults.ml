@@ -441,6 +441,27 @@ let budget_suite =
                   let g6 = Generators.cycle 6 in
                   check_bool "even cycle accepts" true
                     (Game.sigma_accepts a g6 ~ids:(global_ids g6) ~universes))));
+      quick "ball tables beyond max_int are refused, not wrapped" (fun () ->
+          (* star 62's centre ball alone has 2^62 two-colour table rows
+             and each K40 ball 3^40 three-colour ones: products that
+             wrapped past max_int once passed the budget and tabulated
+             forever *)
+          with_env "LPH_SAT_BUDGET" "" (fun () ->
+              let refused name a g universes =
+                match Game_sat.compile_explain a g ~ids:(global_ids g) ~universes with
+                | Error (Error.Resource_exhausted { what = "Game_sat"; limit = 200_000; _ }) -> ()
+                | Error e -> Alcotest.failf "%s: unexpected error: %s" name (Error.to_string e)
+                | Ok _ -> Alcotest.failf "%s: expected a budget refusal" name
+              in
+              let v2 = Arbiter.of_local_algo ~id_radius:1 (Candidates.color_verifier 2) in
+              let star = Generators.star 62 in
+              refused "star 62, 2 colours" v2 star [ Candidates.color_universe 2 ];
+              refused "K40, 3 colours"
+                (Arbiter.of_local_algo ~id_radius:2 (Candidates.color_verifier 3))
+                (Generators.complete 40) [ Candidates.color_universe 3 ];
+              check_bool "star 62 is 2-colourable via the pruned fallback" true
+                (Game.sigma_accepts ~engine:`Cegar v2 star ~ids:(global_ids star)
+                   ~universes:[ Candidates.color_universe 2 ])));
       qcheck ~count:20 "budget-tripped SAT agrees with exhaustive on random graphs"
         (arb_graph ~max_nodes:6 ())
         (fun g ->

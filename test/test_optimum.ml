@@ -207,27 +207,72 @@ let test_transfer_bounds_hold () =
 
 (* ---- the optimiser lint rules -------------------------------------- *)
 
+(* The registry's optimise table, pinned row by row: (spec, family,
+   size, verdict, bits, declared). Core sizes and search times depend
+   on the solver's search, not on the verdict, so they stay out. *)
+let registry_optima =
+  [
+    ("eulerian-decider", "cycle", 4, "optimum", Some 0, None);
+    ("eulerian-decider", "cycle", 8, "optimum", Some 0, None);
+    ("local-2col-decider-r1", "even-cycle", 6, "optimum", Some 0, None);
+    ("2-color-verifier", "even-cycle", 4, "optimum", Some 1, Some 1);
+    ("2-color-verifier", "even-cycle", 6, "optimum", Some 1, Some 1);
+    ("2-color-verifier", "odd-cycle", 5, "rejected", None, Some 1);
+    ("2-color-verifier", "odd-cycle", 7, "rejected", None, Some 1);
+    ("robust-2col-verifier", "even-cycle", 4, "optimum", Some 1, Some 1);
+    ("3-color-verifier", "even-cycle", 4, "optimum", Some 1, Some 2);
+    ("3-color-verifier", "even-cycle", 6, "optimum", Some 1, Some 2);
+    ("exact-counter-verifier-4", "marked-cycle", 6, "optimum", Some 2, Some 3);
+    ("mod-counter-verifier-3", "marked-cycle", 6, "optimum", Some 2, Some 2);
+  ]
+
 let test_builtin_opt_lint () =
-  (* the shipped registry under --optimize: zero errors, at least one
-     budget/slack warning (the 3-colour verifier on 2-colourable even
-     cycles), and every probed spec reports a verdict *)
+  (* the shipped registry under --optimize: zero errors, the pinned
+     optima, and exactly two budget/slack warnings — the 3-colour
+     verifier on the 2-colourable even cycles, declared 2 bits where 1
+     suffices *)
   let report = Lint.run ~optimize:true (Lint_registry.builtin ()) in
   check_bool "no errors" false (Lint.has_errors report);
-  check_bool "a slack warning fires" true
-    (List.exists
-       (fun (d : Diagnostic.t) ->
-         d.Diagnostic.rule = Diagnostic.Budget_slack
-         && d.Diagnostic.severity = Diagnostic.Warning)
-       report.Lint.diagnostics);
-  check_bool "searches ran" true (report.Lint.optima <> []);
+  let slack =
+    List.filter_map
+      (fun (d : Diagnostic.t) ->
+        if d.Diagnostic.rule = Diagnostic.Budget_slack then
+          Some (d.Diagnostic.spec, d.Diagnostic.severity, d.Diagnostic.message)
+        else None)
+      report.Lint.diagnostics
+  in
+  check_int "two slack warnings" 2 (List.length slack);
+  List.iter2
+    (fun size (spec, severity, message) ->
+      check_bool "slack on the 3-colour verifier" true
+        (spec = "3-color-verifier" && severity = Diagnostic.Warning);
+      let prefix =
+        Printf.sprintf
+          "even-cycle/%d: declared budget 2 is at least twice the searched optimum 1 " size
+      in
+      check_bool (Printf.sprintf "slack message %S" message) true
+        (String.starts_with ~prefix message))
+    [ 4; 6 ] slack;
   check_bool "reductions checked" true (report.Lint.reduction_checks <> []);
-  List.iter
-    (fun (r : Opt.result) ->
-      check_bool
-        (Printf.sprintf "%s on %s/%d supported" r.Opt.r_spec r.Opt.r_family r.Opt.r_size)
-        true
-        (match r.Opt.r_verdict with Opt.Unsupported _ -> false | _ -> true))
-    report.Lint.optima
+  let show (spec, family, size, verdict, bits, declared) =
+    let opt = function Some b -> string_of_int b | None -> "-" in
+    Printf.sprintf "%s %s/%d %s bits=%s declared=%s" spec family size verdict (opt bits)
+      (opt declared)
+  in
+  Alcotest.(check (list string))
+    "registry optima"
+    (List.map show registry_optima)
+    (List.map
+       (fun (r : Opt.result) ->
+         let v = r.Opt.r_verdict in
+         show
+           ( r.Opt.r_spec,
+             r.Opt.r_family,
+             r.Opt.r_size,
+             Opt.verdict_string v,
+             Opt.verdict_bits v,
+             r.Opt.r_declared ))
+       report.Lint.optima)
 
 let test_fixtures_opt_lint () =
   (* each optimiser fixture trips exactly its planned rule *)
