@@ -3,8 +3,9 @@
    operations with Bechamel and writes the measurements to a versioned
    report. Baselines rotate automatically: the harness finds the
    newest committed BENCH_<N>.json, writes BENCH_<N+1>.json, and
-   --smoke compares the shared Bechamel entries against BENCH_<N>.json,
-   failing on a >2x regression.
+   --smoke runs one gate against BENCH_<N>.json: shared rows may not
+   change their verdict or run more than 2x slower beyond an absolute
+   band, and every engine and served answer must agree.
 
    Run with: dune exec bench/main.exe
    CI smoke: dune exec bench/main.exe -- --smoke   (small instances,
@@ -23,193 +24,46 @@ let section title =
 
 let row fmt = Printf.printf fmt
 
-(* ---- measurement accumulators, flushed to BENCH_1.json at the end ---- *)
+(* ---- one row shape ------------------------------------------------- *)
 
-let section_times : (string * float) list ref = ref []
+(* Every measurement is a flat JSON object appended to its report
+   section; the report, the baseline reader and the gate all speak this
+   one shape. *)
+let measurements : (string * (string * Json.t) list) list ref = ref []
 
-let bechamel_rows : (string * float) list ref = ref []
+let record section fields = measurements := (section, fields) :: !measurements
 
-type engine_entry = {
-  game : string;
-  nodes : int;
-  exhaustive_ms : float option;  (** [None]: infeasible, not attempted *)
-  pruned_ms : float option;  (** [None] on cegar-only rows (enumeration infeasible) *)
-  cegar_ms : float option;  (** warm dueling-solver (CEGAR) solve *)
-  cegar_iters : int option;  (** refinement rounds of one cold CEGAR solve *)
-  agree : bool option;  (** verdict agreement across every engine that ran *)
-}
+let section_rows section =
+  List.rev (List.filter_map (fun (s, r) -> if s = section then Some r else None) !measurements)
 
-let engine_entries : engine_entry list ref = ref []
-
-(* workload, no-plan ms, installed-zero-rate-plan ms, relative overhead *)
-let faults_entries : (string * float * float * float) list ref = ref []
-
-(* family, operation, nodes, wall-clock ms for one run *)
-let scaling_entries : (string * string * int * float) list ref = ref []
-
-(* nodes, ball seed/csr ms, induced seed/csr ms — the seed-core comparison *)
-let seed_cmp : (int * float * float * float * float) option ref = ref None
-
-type serving_entry = {
-  s_workload : string;
-  s_wire : string;  (** "packed", "bits" or "mixed" (per-frame alternation) *)
-  s_requests : int;  (** warm requests behind the percentiles *)
-  s_cold_ms : float;  (** first round-trip on a fresh daemon: compile + memo fill *)
-  s_warm_p50_ms : float;
-  s_warm_p99_ms : float;
-  s_qps : float;
-  s_speedup : float;  (** cold_ms / warm_p50_ms — what the shared caches buy *)
-  s_match : bool;  (** every answer equals the single-process Game computation *)
-}
-
-let serving_entries : serving_entry list ref = ref []
-
-type certification_entry = {
-  c_spec : string;
-  c_family : string;
-  c_size : int;
-  c_ms : float;  (** wall-clock of the full search (both engines) *)
-  c_verdict : string;  (** "optimum" / "rejected" / "unsupported" *)
-  c_bits : int option;  (** searched optimum, when one exists *)
-  c_declared : int option;  (** the spec's declared budget on the instance *)
-  c_agree : bool;  (** the leading engine and its checker agreed at the boundary *)
-}
-
-let certification_entries : certification_entry list ref = ref []
-
-type fault_axis_entry = {
-  fa_workload : string;
-  fa_model : string;
-  fa_verdict : string;  (** "survive" / "flip" / "diverge" *)
-  fa_flip_budget : int option;  (** events in the cheapest flipping schedule *)
-  fa_degraded : bool;  (** survived through certified quorum degradation *)
-  fa_round_overhead : int;
-  fa_evals : int;
-  fa_spec : string option;  (** replay spec of the most damaging schedule *)
-}
-
-let fault_axis_entries : fault_axis_entry list ref = ref []
+let opt f = function Some v -> f v | None -> Json.Null
 
 let timed label f =
   let t0 = Unix.gettimeofday () in
   f ();
-  section_times := (label, Unix.gettimeofday () -. t0) :: !section_times
+  record "sections_wall_clock_s"
+    [ ("name", Json.String label); ("s", Json.Float (Unix.gettimeofday () -. t0)) ]
 
 let time_once f =
   let t0 = Unix.gettimeofday () in
   let y = f () in
   (y, (Unix.gettimeofday () -. t0) *. 1000.)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let report_sections =
+  [
+    "sections_wall_clock_s"; "engine"; "faults_overhead"; "fault_axis"; "scaling"; "seed_comparison";
+    "serving"; "certification"; "bechamel_ns_per_run";
+  ]
 
-let write_bench_json path =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"schema\": \"lph-bench-10\",\n  \"smoke\": %b,\n" !smoke;
-  out "  \"sections_wall_clock_s\": {\n";
-  let sections = List.rev !section_times in
-  List.iteri
-    (fun i (name, s) ->
-      out "    \"%s\": %.6f%s\n" (json_escape name) s
-        (if i = List.length sections - 1 then "" else ","))
-    sections;
-  out "  },\n  \"engine\": [\n";
-  let entries = List.rev !engine_entries in
-  let opt_ms = function Some ms -> Printf.sprintf "%.6f" ms | None -> "null" in
-  List.iteri
-    (fun i e ->
-      let agree = match e.agree with Some b -> string_of_bool b | None -> "null" in
-      let iters = match e.cegar_iters with Some n -> string_of_int n | None -> "null" in
-      out
-        "    {\"game\": \"%s\", \"nodes\": %d, \"exhaustive_ms\": %s, \"pruned_ms\": %s, \"cegar_ms\": %s, \"cegar_iters\": %s, \"agree\": %s}%s\n"
-        (json_escape e.game) e.nodes (opt_ms e.exhaustive_ms) (opt_ms e.pruned_ms)
-        (opt_ms e.cegar_ms) iters agree
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  out "  ],\n  \"faults_overhead\": [\n";
-  let fentries = List.rev !faults_entries in
-  List.iteri
-    (fun i (workload, off_ms, noop_ms, overhead) ->
-      out
-        "    {\"workload\": \"%s\", \"no_plan_ms\": %.6f, \"noop_plan_ms\": %.6f, \"overhead\": %.6f}%s\n"
-        (json_escape workload) off_ms noop_ms overhead
-        (if i = List.length fentries - 1 then "" else ","))
-    fentries;
-  out "  ],\n  \"fault_axis\": [\n";
-  let fa = List.rev !fault_axis_entries in
-  List.iteri
-    (fun i e ->
-      let flip = match e.fa_flip_budget with Some b -> string_of_int b | None -> "null" in
-      let spec =
-        match e.fa_spec with Some s -> Printf.sprintf "\"%s\"" (json_escape s) | None -> "null"
-      in
-      out
-        "    {\"workload\": \"%s\", \"model\": \"%s\", \"verdict\": \"%s\", \"flip_budget\": %s, \
-         \"degraded\": %b, \"round_overhead\": %d, \"evals\": %d, \"spec\": %s}%s\n"
-        (json_escape e.fa_workload) (json_escape e.fa_model) (json_escape e.fa_verdict) flip
-        e.fa_degraded e.fa_round_overhead e.fa_evals spec
-        (if i = List.length fa - 1 then "" else ","))
-    fa;
-  out "  ],\n  \"scaling\": [\n";
-  let sentries = List.rev !scaling_entries in
-  List.iteri
-    (fun i (family, op, nodes, ms) ->
-      out "    {\"family\": \"%s\", \"op\": \"%s\", \"nodes\": %d, \"ms\": %.6f}%s\n"
-        (json_escape family) (json_escape op) nodes ms
-        (if i = List.length sentries - 1 then "" else ","))
-    sentries;
-  (match !seed_cmp with
-  | None -> out "  ],\n  \"seed_comparison\": null,\n"
-  | Some (nodes, ball_seed, ball_csr, ind_seed, ind_csr) ->
-      out
-        "  ],\n\
-        \  \"seed_comparison\": {\"nodes\": %d, \"ball_seed_ms\": %.6f, \"ball_csr_ms\": %.6f, \
-         \"ball_speedup\": %.1f, \"induced_seed_ms\": %.6f, \"induced_csr_ms\": %.6f, \
-         \"induced_speedup\": %.1f},\n"
-        nodes ball_seed ball_csr (ball_seed /. ball_csr) ind_seed ind_csr (ind_seed /. ind_csr));
-  out "  \"serving\": [\n";
-  let sv = List.rev !serving_entries in
-  List.iteri
-    (fun i e ->
-      out
-        "    {\"workload\": \"%s\", \"wire\": \"%s\", \"requests\": %d, \"cold_ms\": %.6f, \
-         \"warm_p50_ms\": %.6f, \"warm_p99_ms\": %.6f, \"qps\": %.1f, \"speedup\": %.1f, \
-         \"match\": %b}%s\n"
-        (json_escape e.s_workload) (json_escape e.s_wire) e.s_requests e.s_cold_ms e.s_warm_p50_ms
-        e.s_warm_p99_ms e.s_qps e.s_speedup e.s_match
-        (if i = List.length sv - 1 then "" else ","))
-    sv;
-  out "  ],\n  \"certification\": [\n";
-  let ce = List.rev !certification_entries in
-  let opt_int = function Some v -> string_of_int v | None -> "null" in
-  List.iteri
-    (fun i e ->
-      out
-        "    {\"spec\": \"%s\", \"family\": \"%s\", \"size\": %d, \"ms\": %.6f, \"verdict\": \
-         \"%s\", \"bits\": %s, \"declared\": %s, \"agree\": %b}%s\n"
-        (json_escape e.c_spec) (json_escape e.c_family) e.c_size e.c_ms (json_escape e.c_verdict)
-        (opt_int e.c_bits) (opt_int e.c_declared) e.c_agree
-        (if i = List.length ce - 1 then "" else ","))
-    ce;
-  out "  ],\n  \"bechamel_ns_per_run\": {\n";
-  let rows = List.sort compare !bechamel_rows in
-  List.iteri
-    (fun i (name, ns) ->
-      out "    \"%s\": %.3f%s\n" (json_escape name) ns
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  }\n}\n";
-  close_out oc
+let write_report path =
+  let section s = (s, Json.List (List.map (fun r -> Json.Obj r) (section_rows s))) in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        (Json.pretty
+           (Json.Obj
+              ([ ("schema", Json.String "lph-bench-11"); ("smoke", Json.Bool !smoke) ]
+              @ List.map section report_sections)));
+      output_char oc '\n')
 
 (* ---- baseline rotation --------------------------------------------- *)
 
@@ -230,300 +84,122 @@ let newest_bench () =
       | _ -> acc)
     0 (Sys.readdir ".")
 
-(* ---- smoke regression gate ----------------------------------------- *)
+(* ---- the regression gate ------------------------------------------- *)
 
-(* Line-based reader for a committed benchmark file's
-   [bechamel_ns_per_run] section — we only ever parse JSON this harness
-   emitted itself, one entry per line. *)
-let read_baseline_ns path =
-  try
-    let ic = open_in path in
-    let entries = ref [] in
-    let in_section = ref false in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if !in_section then begin
-           if String.length line > 0 && line.[0] = '}' then raise Exit;
-           match String.index_opt line ':' with
-           | Some colon when String.length line > 2 && line.[0] = '"' -> (
-               match String.rindex_from_opt line (colon - 1) '"' with
-               | Some close when close > 0 ->
-                   let name = String.sub line 1 (close - 1) in
-                   let value =
-                     String.trim (String.sub line (colon + 1) (String.length line - colon - 1))
-                   in
-                   let value =
-                     if String.length value > 0 && value.[String.length value - 1] = ',' then
-                       String.sub value 0 (String.length value - 1)
-                     else value
-                   in
-                   (match float_of_string_opt value with
-                   | Some ns -> entries := (name, ns) :: !entries
-                   | None -> ())
-               | _ -> ())
-           | _ -> ()
-         end
-         else if line = "\"bechamel_ns_per_run\": {" then in_section := true
-       done
-     with End_of_file | Exit -> ());
-    close_in ic;
-    Some (List.rev !entries)
-  with Sys_error _ -> None
+(* A report as section -> rows; [None] when the file is absent.
+   Reports up to schema 10 wrote [bechamel_ns_per_run] as one object
+   mapping names to ns, read here as {name, ns} rows. *)
+let read_report path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text ->
+      let rows_of = function
+        | Json.List items -> List.filter_map (function Json.Obj r -> Some r | _ -> None) items
+        | Json.Obj fields -> List.map (fun (k, v) -> [ ("name", Json.String k); ("ns", v) ]) fields
+        | _ -> []
+      in
+      (match Json.of_string text with
+      | Json.Obj sections -> Some (List.map (fun (s, v) -> (s, rows_of v)) sections)
+      | _ -> Some [])
 
-(* Fail if any Bechamel entry shared with the committed baseline runs
-   more than 2x slower; entries within a 50us absolute band are treated
-   as noise (the short smoke quota jitters small cases by more than
-   2x). New entries without a baseline are ignored. *)
-let regression_gate baseline_path =
-  match read_baseline_ns baseline_path with
+type check =
+  | Same of string  (** the field must equal the baseline's *)
+  | Slower of string * float
+      (** the field fails above 2x the baseline when it is also more
+          than the band above it: small rows jitter far beyond 2x *)
+
+(* Sub-ms rows jitter by more than 2x under CI load, hence the
+   absolute bands; a changed verdict is never noise: the fault axis is
+   deterministic in (workload, model, seed), and a certification
+   verdict is a lost optimum or a broken engine. *)
+let gated =
+  [
+    ("bechamel_ns_per_run", [ "name" ], [ Slower ("ns", 50_000.) ]);
+    ("scaling", [ "family"; "op"; "nodes" ], [ Slower ("ms", 25.) ]);
+    ("serving", [ "workload"; "wire" ], [ Slower ("warm_p50_ms", 5.) ]);
+    ("fault_axis", [ "workload"; "model" ], [ Same "verdict" ]);
+    ("certification", [ "spec"; "family"; "size" ], [ Same "verdict"; Slower ("ms", 25.) ]);
+  ]
+
+(* Same-run checks that need no baseline: every engine that ran agreed,
+   and every served answer matched the single-process computation. *)
+let flags = [ ("engine", "agree"); ("certification", "agree"); ("serving", "match") ]
+
+let field name r = Option.value ~default:Json.Null (List.assoc_opt name r)
+
+let show = function Json.String s -> s | v -> Json.to_string v
+
+let gate ~only baseline_path =
+  let fail fmt = Printf.ksprintf (fun msg -> row "[gate] FAIL %s\n" msg; false) fmt in
+  let key keys r = String.concat "/" (List.map (fun k -> show (field k r)) keys) in
+  let flags_ok =
+    List.for_all Fun.id
+      (List.concat_map
+         (fun (section, flag) ->
+           if not (only section) then []
+           else
+             List.map
+               (fun r ->
+                 field flag r <> Json.Bool false
+                 || fail "%s %s: %s is false" section (Json.to_string (Json.Obj r)) flag)
+               (section_rows section))
+         flags)
+  in
+  match read_report baseline_path with
   | None ->
       row "[gate] no %s baseline found; skipping the regression check\n" baseline_path;
-      true
+      flags_ok
   | Some baseline ->
-      let ok = ref true in
-      List.iter
-        (fun (name, old_ns) ->
-          match List.assoc_opt name !bechamel_rows with
-          | None -> ()
-          | Some new_ns ->
-              if new_ns > 2.0 *. old_ns && new_ns -. old_ns > 50_000. then begin
-                ok := false;
-                row "[gate] REGRESSION %s: %.0f ns/run vs baseline %.0f ns/run (> 2x)\n" name
-                  new_ns old_ns
-              end)
-        baseline;
-      if !ok then row "[gate] no shared Bechamel entry regressed > 2x vs %s\n" baseline_path;
-      !ok
+      let check section keys base cur = function
+        | Same f ->
+            field f cur = field f base
+            || fail "%s %s: %s %s vs baseline %s" section (key keys base) f (show (field f cur))
+                 (show (field f base))
+        | Slower (f, band) ->
+            let now = Json.get_float (field f cur) and old = Json.get_float (field f base) in
+            (not (now > 2.0 *. old && now -. old > band))
+            || fail "%s %s: %s %g vs baseline %g (> 2x)" section (key keys base) f now old
+      in
+      let section_ok (section, keys, checks) =
+        if not (only section) then true
+        else
+          match List.assoc_opt section baseline with
+          | None ->
+              row "[gate] baseline %s has no %s section; passing it\n" baseline_path section;
+              true
+          | Some base_rows ->
+              let current = section_rows section in
+              let ok =
+                List.for_all Fun.id
+                  (List.map
+                     (fun base ->
+                       let same r = List.for_all (fun k -> field k r = field k base) keys in
+                       match List.find_opt same current with
+                       | None -> true
+                       | Some cur -> List.for_all (check section keys base cur) checks)
+                     base_rows)
+              in
+              if ok then row "[gate] no shared %s row regressed vs %s\n" section baseline_path;
+              ok
+      in
+      List.for_all Fun.id (flags_ok :: List.map section_ok gated)
 
-(* Same line-based discipline for the [scaling] array: one entry per
-   line, emitted by this harness. Baselines older than schema 6 have no
-   such section; [None] then, and the gate passes vacuously. *)
-let read_baseline_scaling path =
-  try
-    let ic = open_in path in
-    let entries = ref [] in
-    let in_section = ref false in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if !in_section then begin
-           if String.length line > 0 && line.[0] = ']' then raise Exit;
-           let line =
-             if String.length line > 0 && line.[String.length line - 1] = ',' then
-               String.sub line 0 (String.length line - 1)
-             else line
-           in
-           try
-             Scanf.sscanf line "{\"family\": %S, \"op\": %S, \"nodes\": %d, \"ms\": %f}"
-               (fun family op nodes ms -> entries := ((family, op, nodes), ms) :: !entries)
-           with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-         end
-         else if line = "\"scaling\": [" then in_section := true
-       done
-     with End_of_file | Exit -> ());
-    close_in ic;
-    if !in_section then Some (List.rev !entries) else None
-  with Sys_error _ -> None
-
-(* Fail if a scaling row shared with the baseline runs more than 2x
-   slower AND more than 25ms slower in absolute terms (sub-ms rows
-   jitter far beyond 2x under CI load). *)
-let scaling_gate baseline_path =
-  match read_baseline_scaling baseline_path with
-  | None ->
-      row "[gate] baseline %s has no scaling section; check activates next rotation\n" baseline_path;
-      true
-  | Some baseline ->
-      let ok = ref true in
-      List.iter
-        (fun ((family, op, nodes) as key, old_ms) ->
-          match
-            List.find_opt (fun (f, o, n, _) -> (f, o, n) = key) !scaling_entries
-          with
-          | None -> ()
-          | Some (_, _, _, new_ms) ->
-              if new_ms > 2.0 *. old_ms && new_ms -. old_ms > 25. then begin
-                ok := false;
-                row "[gate] REGRESSION scaling %s/%s n=%d: %.2f ms vs baseline %.2f ms (> 2x)\n"
-                  family op nodes new_ms old_ms
-              end)
-        baseline;
-      if !ok then row "[gate] no shared scaling row regressed > 2x vs %s\n" baseline_path;
-      !ok
-
-(* The [serving] array, same one-entry-per-line discipline. Baselines
-   older than schema 7 have no such section; the gate passes vacuously
-   and activates on the next rotation. *)
-let read_baseline_serving path =
-  try
-    let ic = open_in path in
-    let entries = ref [] in
-    let in_section = ref false in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if !in_section then begin
-           if String.length line > 0 && line.[0] = ']' then raise Exit;
-           let line =
-             if String.length line > 0 && line.[String.length line - 1] = ',' then
-               String.sub line 0 (String.length line - 1)
-             else line
-           in
-           try
-             Scanf.sscanf line
-               "{\"workload\": %S, \"wire\": %S, \"requests\": %d, \"cold_ms\": %f, \
-                \"warm_p50_ms\": %f, \"warm_p99_ms\": %f, \"qps\": %f, \"speedup\": %f, \
-                \"match\": %B}"
-               (fun workload wire _req _cold p50 _p99 _qps _speedup _match ->
-                 entries := ((workload, wire), p50) :: !entries)
-           with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-         end
-         else if line = "\"serving\": [" then in_section := true
-       done
-     with End_of_file | Exit -> ());
-    close_in ic;
-    if !in_section then Some (List.rev !entries) else None
-  with Sys_error _ -> None
-
-(* Fail if a serving row shared with the baseline (same workload and
-   wire) has a warm p50 more than 2x slower AND more than 5ms slower —
-   socket round-trips are sub-ms warm, so the absolute band absorbs
-   scheduler jitter while still catching a lost cache. *)
-let serving_gate baseline_path =
-  match read_baseline_serving baseline_path with
-  | None ->
-      row "[gate] baseline %s has no serving section; check activates next rotation\n" baseline_path;
-      true
-  | Some baseline ->
-      let ok = ref true in
-      List.iter
-        (fun ((workload, wire) as key, old_p50) ->
-          match
-            List.find_opt (fun e -> (e.s_workload, e.s_wire) = key) !serving_entries
-          with
-          | None -> ()
-          | Some e ->
-              if e.s_warm_p50_ms > 2.0 *. old_p50 && e.s_warm_p50_ms -. old_p50 > 5. then begin
-                ok := false;
-                row
-                  "[gate] REGRESSION serving %s/%s: warm p50 %.3f ms vs baseline %.3f ms (> 2x)\n"
-                  workload wire e.s_warm_p50_ms old_p50
-              end)
-        baseline;
-      if !ok then row "[gate] no shared serving row regressed > 2x vs %s\n" baseline_path;
-      !ok
-
-(* The [fault_axis] array, same one-entry-per-line discipline. Only the
-   verdict matters to the gate: the axis is deterministic in (workload,
-   model, seed), so a changed verdict on a shared row is a semantic
-   regression — degraded robustness or lost soundness — not noise.
-   Baselines older than schema 8 have no such section; the gate passes
-   vacuously and activates on the next rotation. *)
-let read_baseline_fault_axis path =
-  try
-    let ic = open_in path in
-    let entries = ref [] in
-    let in_section = ref false in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if !in_section then begin
-           if String.length line > 0 && line.[0] = ']' then raise Exit;
-           try
-             Scanf.sscanf line "{\"workload\": %S, \"model\": %S, \"verdict\": %S"
-               (fun workload model verdict -> entries := ((workload, model), verdict) :: !entries)
-           with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-         end
-         else if line = "\"fault_axis\": [" then in_section := true
-       done
-     with End_of_file | Exit -> ());
-    close_in ic;
-    if !in_section then Some (List.rev !entries) else None
-  with Sys_error _ -> None
-
-let fault_axis_gate baseline_path =
-  match read_baseline_fault_axis baseline_path with
-  | None ->
-      row "[gate] baseline %s has no fault_axis section; check activates next rotation\n"
-        baseline_path;
-      true
-  | Some baseline ->
-      let ok = ref true in
-      List.iter
-        (fun ((workload, model) as key, old_verdict) ->
-          match
-            List.find_opt (fun e -> (e.fa_workload, e.fa_model) = key) !fault_axis_entries
-          with
-          | None -> ()
-          | Some e ->
-              if e.fa_verdict <> old_verdict then begin
-                ok := false;
-                row "[gate] REGRESSION fault axis %s under %s: verdict %s vs baseline %s\n"
-                  workload model e.fa_verdict old_verdict
-              end)
-        baseline;
-      if !ok then row "[gate] no shared fault-axis verdict changed vs %s\n" baseline_path;
-      !ok
-
-(* The [certification] array, same one-entry-per-line discipline. The
-   gate is double: a changed verdict on a shared (spec, family, size)
-   row is a semantic regression (a lost optimum or a broken engine),
-   and a search more than 2x AND more than 25ms slower is a wall-clock
-   regression. Baselines older than schema 9 have no such section; the
-   gate passes vacuously and activates on the next rotation. *)
-let read_baseline_certification path =
-  try
-    let ic = open_in path in
-    let entries = ref [] in
-    let in_section = ref false in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if !in_section then begin
-           if String.length line > 0 && line.[0] = ']' then raise Exit;
-           try
-             Scanf.sscanf line
-               "{\"spec\": %S, \"family\": %S, \"size\": %d, \"ms\": %f, \"verdict\": %S"
-               (fun spec family size ms verdict ->
-                 entries := ((spec, family, size), (ms, verdict)) :: !entries)
-           with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-         end
-         else if line = "\"certification\": [" then in_section := true
-       done
-     with End_of_file | Exit -> ());
-    close_in ic;
-    if !in_section then Some (List.rev !entries) else None
-  with Sys_error _ -> None
-
-let certification_gate baseline_path =
-  match read_baseline_certification baseline_path with
-  | None ->
-      row "[gate] baseline %s has no certification section; check activates next rotation\n"
-        baseline_path;
-      true
-  | Some baseline ->
-      let ok = ref true in
-      List.iter
-        (fun ((spec, family, size) as key, (old_ms, old_verdict)) ->
-          match
-            List.find_opt (fun e -> (e.c_spec, e.c_family, e.c_size) = key) !certification_entries
-          with
-          | None -> ()
-          | Some e ->
-              if e.c_verdict <> old_verdict then begin
-                ok := false;
-                row "[gate] REGRESSION certification %s on %s/%d: verdict %s vs baseline %s\n" spec
-                  family size e.c_verdict old_verdict
-              end
-              else if e.c_ms > 2.0 *. old_ms && e.c_ms -. old_ms > 25. then begin
-                ok := false;
-                row "[gate] REGRESSION certification %s on %s/%d: %.2f ms vs baseline %.2f ms (> 2x)\n"
-                  spec family size e.c_ms old_ms
-              end)
-        baseline;
-      if !ok then row "[gate] no shared certification row regressed vs %s\n" baseline_path;
-      !ok
+(* The report just written, read back through the gate's reader: every
+   checked section must come back with the rows this run recorded. *)
+let report_complete path =
+  let report = Option.value ~default:[] (read_report path) in
+  let sections = List.sort_uniq compare (List.map (fun (s, _, _) -> s) gated @ List.map fst flags) in
+  List.for_all Fun.id
+    (List.map
+       (fun section ->
+         let wrote = List.length (section_rows section) in
+         match List.assoc_opt section report with
+         | Some rows when List.length rows = wrote -> true
+         | read ->
+             row "[report] FAIL %s: wrote %d rows, read back %s\n" section wrote
+               (match read with Some rows -> string_of_int (List.length rows) | None -> "no section");
+             false)
+       sections)
 
 let rand_graphs ~count ~max_nodes ~extra seed =
   let rng = Random.State.make [| seed |] in
@@ -1050,7 +726,6 @@ let exp_engine () =
   section "Game engines: exhaustive vs pruned vs CEGAR duel";
   row "%-18s %-6s %-14s %-12s %-12s %-9s %-7s\n" "game" "n" "exhaustive" "pruned" "cegar"
     "pr/cegar" "agree";
-  let record e = engine_entries := e :: !engine_entries in
   (* Pruned and cegar are timed warm (averaged over repeat runs after
      one priming call): memoised ball verdicts resp. the compiled CNF
      and the proposer's blocking clauses persist across solves, and the
@@ -1090,16 +765,17 @@ let exp_engine () =
     in
     row "%-18s %-6d %s %s%s%s %-7s\n" game nodes ex_cell (ms_cell pr) (ms_cell cg) ratio
       (match agree with Some b -> string_of_bool b | None -> "--");
-    record
-      {
-        game;
-        nodes;
-        exhaustive_ms = Option.map snd ex;
-        pruned_ms = Option.map snd pr;
-        cegar_ms = Option.map snd cg;
-        cegar_iters = iters;
-        agree;
-      }
+    let ms = opt (fun (_, ms) -> Json.Float ms) in
+    record "engine"
+      [
+        ("game", Json.String game);
+        ("nodes", Json.Int nodes);
+        ("exhaustive_ms", ms ex);
+        ("pruned_ms", ms pr);
+        ("cegar_ms", ms cg);
+        ("cegar_iters", opt (fun n -> Json.Int n) iters);
+        ("agree", opt (fun b -> Json.Bool b) agree);
+      ]
   in
   (* refinement rounds of one cold solve: the duel's counters are
      lifetime totals, so a row reports their change across the first
@@ -1251,7 +927,13 @@ let exp_faults_overhead () =
       Array.sort compare ratios;
       let overhead = ratios.(pairs / 2) -. 1.0 in
       row "%-24s %10.4fms %10.4fms %9.2f%%\n" name !off !noop_ms (100. *. overhead);
-      faults_entries := (name, !off, !noop_ms, overhead) :: !faults_entries)
+      record "faults_overhead"
+        [
+          ("workload", Json.String name);
+          ("no_plan_ms", Json.Float !off);
+          ("noop_plan_ms", Json.Float !noop_ms);
+          ("overhead", Json.Float overhead);
+        ])
     workloads;
   row
     "With no plan each injection point is one match on None; an installed zero-rate plan\n\
@@ -1280,18 +962,17 @@ let exp_fault_axis () =
             r.Fault_search.r_model
             (verdict ^ if r.Fault_search.r_degraded then "*" else "")
             flip r.Fault_search.r_evals r.Fault_search.r_round_overhead;
-          fault_axis_entries :=
-            {
-              fa_workload = r.Fault_search.r_workload;
-              fa_model = r.Fault_search.r_model;
-              fa_verdict = verdict;
-              fa_flip_budget = r.Fault_search.r_flip_budget;
-              fa_degraded = r.Fault_search.r_degraded;
-              fa_round_overhead = r.Fault_search.r_round_overhead;
-              fa_evals = r.Fault_search.r_evals;
-              fa_spec = r.Fault_search.r_spec;
-            }
-            :: !fault_axis_entries)
+          record "fault_axis"
+            [
+              ("workload", Json.String r.Fault_search.r_workload);
+              ("model", Json.String r.Fault_search.r_model);
+              ("verdict", Json.String verdict);
+              ("flip_budget", opt (fun b -> Json.Int b) r.Fault_search.r_flip_budget);
+              ("degraded", Json.Bool r.Fault_search.r_degraded);
+              ("round_overhead", Json.Int r.Fault_search.r_round_overhead);
+              ("evals", Json.Int r.Fault_search.r_evals);
+              ("spec", opt (fun s -> Json.String s) r.Fault_search.r_spec);
+            ])
         models)
     workloads;
   row
@@ -1388,7 +1069,13 @@ module Seed_core = struct
 end
 
 let record_scaling ~family ~op ~nodes ms =
-  scaling_entries := (family, op, nodes, ms) :: !scaling_entries;
+  record "scaling"
+    [
+      ("family", Json.String family);
+      ("op", Json.String op);
+      ("nodes", Json.Int nodes);
+      ("ms", Json.Float ms);
+    ];
   row "  %-10s %-28s n=%-9d %12.2f ms\n" family op nodes ms
 
 let avg_ms_over k f =
@@ -1467,7 +1154,16 @@ let exp_scaling_curves () =
         let u = Random.State.int s n in
         ignore (Neighborhood.induced g (Neighborhood.ball g ~radius:2 u)))
   in
-  seed_cmp := Some (n, ball_seed, ball_csr, ind_seed, ind_csr);
+  record "seed_comparison"
+    [
+      ("nodes", Json.Int n);
+      ("ball_seed_ms", Json.Float ball_seed);
+      ("ball_csr_ms", Json.Float ball_csr);
+      ("ball_speedup", Json.Float (ball_seed /. ball_csr));
+      ("induced_seed_ms", Json.Float ind_seed);
+      ("induced_csr_ms", Json.Float ind_csr);
+      ("induced_speedup", Json.Float (ind_seed /. ind_csr));
+    ];
   row "seed list core vs CSR at n=%d (avg over %d fresh sources):\n" n queries;
   row "  ball r2     %10.3f ms -> %10.5f ms   %8.0fx\n" ball_seed ball_csr (ball_seed /. ball_csr);
   row "  induced r2  %10.3f ms -> %10.5f ms   %8.0fx\n" ind_seed ind_csr (ind_seed /. ind_csr)
@@ -1495,11 +1191,44 @@ let serving_local_answer (engine, property, graph, query) =
       | Game.Adam -> Game.pi_accepts ~engine a g ~ids ~universes)
   | Serve_protocol.Check certs -> a.Arbiter.accepts g ~ids ~certs
 
-let record_serving e =
-  serving_entries := e :: !serving_entries;
+(* One cold request on a fresh daemon, then [warm_n] warm ones;
+   [roundtrip i] sends request [i] and says whether its answer matched
+   the single-process one. *)
+let serving_row ~workload ~wire ~warm_n roundtrip =
+  let ok = ref true in
+  let timed_trip i =
+    let t0 = Unix.gettimeofday () in
+    if not (roundtrip i) then ok := false;
+    (Unix.gettimeofday () -. t0) *. 1000.
+  in
+  let cold_ms = timed_trip 0 in
+  let t0 = Unix.gettimeofday () in
+  let lat = Array.init warm_n (fun i -> timed_trip (i + 1)) in
+  let wall = Unix.gettimeofday () -. t0 in
+  Array.sort compare lat;
+  let p50 = serving_percentile lat 50. and p99 = serving_percentile lat 99. in
+  let qps = float_of_int warm_n /. if wall > 0. then wall else 1e-9 in
+  let speedup = if p50 > 0. then cold_ms /. p50 else 0. in
   row "  %-22s %-7s cold %9.3f ms   warm p50 %8.3f ms  p99 %8.3f ms  %8.1f req/s %7.1fx  %s\n"
-    e.s_workload e.s_wire e.s_cold_ms e.s_warm_p50_ms e.s_warm_p99_ms e.s_qps e.s_speedup
-    (if e.s_match then "match" else "MISMATCH")
+    workload wire cold_ms p50 p99 qps speedup
+    (if !ok then "match" else "MISMATCH");
+  record "serving"
+    [
+      ("workload", Json.String workload);
+      ("wire", Json.String wire);
+      ("requests", Json.Int warm_n);
+      ("cold_ms", Json.Float cold_ms);
+      ("warm_p50_ms", Json.Float p50);
+      ("warm_p99_ms", Json.Float p99);
+      ("qps", Json.Float qps);
+      ("speedup", Json.Float speedup);
+      ("match", Json.Bool !ok);
+    ]
+
+(* a response answers request [i] with [expected] *)
+let answered i expected (resp : Serve_protocol.response) =
+  resp.Serve_protocol.id = i
+  && match resp.Serve_protocol.outcome with Ok b -> b = expected | Error _ -> false
 
 (* Solver-backed workloads where the first request pays arbiter
    compilation (CNF tabulation and duel setup) and every later
@@ -1531,34 +1260,9 @@ let exp_serving () =
     let client = Serve_client.connect ~wire:Codec.Packed ~socket () in
     Fun.protect ~finally:(fun () -> Serve_client.close client) @@ fun () ->
     let expected = serving_local_answer (engine, property, graph, query) in
-    let ok = ref true in
-    let roundtrip i =
-      let req = { Serve_protocol.id = i; engine; property; graph; query } in
-      let t0 = Unix.gettimeofday () in
-      let resp = Serve_client.request client req in
-      (match resp.Serve_protocol.outcome with
-      | Ok b when b = expected && resp.Serve_protocol.id = i -> ()
-      | _ -> ok := false);
-      (Unix.gettimeofday () -. t0) *. 1000.
-    in
-    let cold_ms = roundtrip 0 in
-    let t0 = Unix.gettimeofday () in
-    let lat = Array.init warm_n (fun i -> roundtrip (i + 1)) in
-    let wall = Unix.gettimeofday () -. t0 in
-    Array.sort compare lat;
-    let p50 = serving_percentile lat 50. in
-    record_serving
-      {
-        s_workload = name;
-        s_wire = "packed";
-        s_requests = warm_n;
-        s_cold_ms = cold_ms;
-        s_warm_p50_ms = p50;
-        s_warm_p99_ms = serving_percentile lat 99.;
-        s_qps = float_of_int warm_n /. (if wall > 0. then wall else 1e-9);
-        s_speedup = (if p50 > 0. then cold_ms /. p50 else 0.);
-        s_match = !ok;
-      }
+    serving_row ~workload:name ~wire:"packed" ~warm_n (fun i ->
+        answered i expected
+          (Serve_client.request client { Serve_protocol.id = i; engine; property; graph; query }))
   in
   List.iter run_one serving_workloads;
   (* The mixed row: one daemon, both wire modes alternating per frame,
@@ -1580,37 +1284,12 @@ let exp_serving () =
       ]
   in
   let expected = List.map (fun (_, e, p, g, q) -> serving_local_answer (e, p, g, q)) templates in
-  let ok = ref true in
-  let roundtrip i =
-    let k = i mod List.length templates in
-    let _, engine, property, graph, query = List.nth templates k in
-    let req = { Serve_protocol.id = i; engine; property; graph; query } in
-    let client = if i land 1 = 0 then packed else bits in
-    let t0 = Unix.gettimeofday () in
-    let resp = Serve_client.request client req in
-    (match resp.Serve_protocol.outcome with
-    | Ok b when b = List.nth expected k && resp.Serve_protocol.id = i -> ()
-    | _ -> ok := false);
-    (Unix.gettimeofday () -. t0) *. 1000.
-  in
-  let cold_ms = roundtrip 0 in
-  let t0 = Unix.gettimeofday () in
-  let lat = Array.init warm_n (fun i -> roundtrip (i + 1)) in
-  let wall = Unix.gettimeofday () -. t0 in
-  Array.sort compare lat;
-  let p50 = serving_percentile lat 50. in
-  record_serving
-    {
-      s_workload = "mixed-stream";
-      s_wire = "mixed";
-      s_requests = warm_n;
-      s_cold_ms = cold_ms;
-      s_warm_p50_ms = p50;
-      s_warm_p99_ms = serving_percentile lat 99.;
-      s_qps = float_of_int warm_n /. (if wall > 0. then wall else 1e-9);
-      s_speedup = (if p50 > 0. then cold_ms /. p50 else 0.);
-      s_match = !ok;
-    };
+  serving_row ~workload:"mixed-stream" ~wire:"mixed" ~warm_n (fun i ->
+      let k = i mod List.length templates in
+      let _, engine, property, graph, query = List.nth templates k in
+      let client = if i land 1 = 0 then packed else bits in
+      answered i (List.nth expected k)
+        (Serve_client.request client { Serve_protocol.id = i; engine; property; graph; query }));
   row "  first request pays compilation and memo fill; the rest ride the shared caches.\n"
 
 (* --serve-smoke: the CI job's oracle — answers must match batch mode,
@@ -1618,24 +1297,16 @@ let exp_serving () =
    shared serving row may regress vs the committed baseline. *)
 let serve_smoke_run () =
   exp_serving ();
-  let entries = List.rev !serving_entries in
-  let all_match = List.for_all (fun e -> e.s_match) entries in
   let solver_speedup =
     List.fold_left
-      (fun acc e ->
-        if e.s_workload = "3col-C12-cegar" || e.s_workload = "sigma2-2col-C9-cegar" then
-          Float.max acc e.s_speedup
-        else acc)
-      0. entries
+      (fun acc r ->
+        match field "workload" r with
+        | Json.String ("3col-C12-cegar" | "sigma2-2col-C9-cegar") ->
+            Float.max acc (Json.get_float (field "speedup" r))
+        | _ -> acc)
+      0. (section_rows "serving")
   in
-  let baseline = newest_bench () in
-  let gate_ok =
-    if baseline > 0 then serving_gate (Printf.sprintf "BENCH_%d.json" baseline) else true
-  in
-  if not all_match then begin
-    row "[serve-smoke] FAIL: a served answer diverged from the single-process computation\n";
-    exit 1
-  end;
+  let gate_ok = gate ~only:(( = ) "serving") (Printf.sprintf "BENCH_%d.json" (newest_bench ())) in
   if solver_speedup < 10. then begin
     row "[serve-smoke] FAIL: best CEGAR warm speedup %.1fx < 10x\n" solver_speedup;
     exit 1
@@ -1709,7 +1380,8 @@ let scale_smoke_run () =
    and wall-clock per row feed the certification regression gate. *)
 let exp_certification () =
   section "Certification: searched optimum vs declared budget per graph family";
-  let sizes = if !smoke then [ 4 ] else Optimum.family_sizes ~default:[ 4; 9; 16 ] in
+  let sizes = if !smoke then [ 4 ] else [ 4; 9; 16 ] in
+  let seen = Hashtbl.create 32 in
   let plan = [ "eulerian-decider"; "2-color-verifier"; "3-color-verifier" ] in
   let fams = [ "cycle"; "torus"; "expander" ] in
   let specs = (Lint_registry.builtin ()).Lint_registry.arbiters in
@@ -1730,10 +1402,9 @@ let exp_certification () =
                       ~universes:spec.Lint_registry.universes ~family:fam ~size ()
                   in
                   (* sizes that build the same graph (torus 4 and 9) get one row *)
-                  let recorded e =
-                    (e.c_spec, e.c_family, e.c_size) = (name, r.Optimum.r_family, r.Optimum.r_size)
-                  in
-                  if not (List.exists recorded !certification_entries) then begin
+                  let key = (name, r.Optimum.r_family, r.Optimum.r_size) in
+                  if not (Hashtbl.mem seen key) then begin
+                    Hashtbl.add seen key ();
                     let opt_cell = function Some v -> string_of_int v | None -> "--" in
                     row "%-20s %-10s %-6d %-12s %-6s %-10s %-7b %10.2f\n" name r.Optimum.r_family
                       r.Optimum.r_size
@@ -1741,18 +1412,17 @@ let exp_certification () =
                       (opt_cell (Optimum.verdict_bits r.Optimum.r_verdict))
                       (opt_cell r.Optimum.r_declared) r.Optimum.r_engines_agree
                       r.Optimum.r_search_ms;
-                    certification_entries :=
-                      {
-                        c_spec = name;
-                        c_family = r.Optimum.r_family;
-                        c_size = r.Optimum.r_size;
-                        c_ms = r.Optimum.r_search_ms;
-                        c_verdict = Optimum.verdict_string r.Optimum.r_verdict;
-                        c_bits = Optimum.verdict_bits r.Optimum.r_verdict;
-                        c_declared = r.Optimum.r_declared;
-                        c_agree = r.Optimum.r_engines_agree;
-                      }
-                      :: !certification_entries
+                    record "certification"
+                      [
+                        ("spec", Json.String name);
+                        ("family", Json.String r.Optimum.r_family);
+                        ("size", Json.Int r.Optimum.r_size);
+                        ("ms", Json.Float r.Optimum.r_search_ms);
+                        ("verdict", Json.String (Optimum.verdict_string r.Optimum.r_verdict));
+                        ("bits", opt (fun b -> Json.Int b) (Optimum.verdict_bits r.Optimum.r_verdict));
+                        ("declared", opt (fun b -> Json.Int b) r.Optimum.r_declared);
+                        ("agree", Json.Bool r.Optimum.r_engines_agree);
+                      ]
                   end)
                 sizes)
             fams)
@@ -1792,9 +1462,27 @@ let bechamel_suite () =
   let blank6 = Picture.constant ~bits:0 ~rows:6 ~cols:6 "" in
   let pic = Picture.constant ~bits:1 ~rows:3 ~cols:3 "1" in
   let mso_some_one = Formula.Exists ("x", Formula.Unary (1, "x")) in
+  let noop_3_rounds =
+    Local_algo.Packed
+      {
+        Local_algo.name = "noop";
+        levels = 0;
+        radius = None;
+        init = (fun _ -> ());
+        round =
+          (fun ctx round () ~inbox:_ ->
+            ((), List.init ctx.Local_algo.degree (fun _ -> Local_algo.no_msg), round >= 3));
+        output = (fun () -> "");
+      }
+  in
+  let payload = List.init 30 (fun i -> String.make 8 (Char.chr (48 + (i mod 2)))) in
+  let codec = Codec.list Codec.string in
+  let payload_bits = Codec.encode_bits codec payload in
   let cases =
     [
       ("turing/eulerian-C32", fun () -> ignore (Turing.run Machines.eulerian c32 ~ids:ids32 ()));
+      (* the runner's floor: three rounds that send nothing *)
+      ("runner/noop-3-rounds-C32", fun () -> ignore (Runner.run noop_3_rounds c32 ~ids:ids32 ()));
       ("runner/gather-r2-grid4x4", fun () -> ignore (Gather.collect ~radius:2 grid ~ids:gids ()));
       ("runner/gather-r3-grid4x4", fun () -> ignore (Gather.collect ~radius:3 grid ~ids:gids ()));
       ("logic/all-selected-C8", fun () -> ignore (Graph_formulas.holds c8 Graph_formulas.all_selected));
@@ -1824,6 +1512,9 @@ let bechamel_suite () =
       ("simulate/eulerian-through-red-C64", fun () -> ignore (Runner.run sim c64 ~ids:ids64 ()));
       ("tiling/squares-6x6", fun () -> ignore (Tiling.recognizes Tiling.squares blank6));
       ("picture/encode-decode-3x3", fun () -> ignore (Pic_to_graph.decode (Pic_to_graph.encode pic)));
+      (* bit-expansion throughput of the legacy wire on a ~300-byte payload *)
+      ("codec/encode-bits-300B", fun () -> ignore (Codec.encode_bits codec payload));
+      ("codec/decode-bits-300B", fun () -> ignore (Codec.decode_bits codec payload_bits));
       ("mso/compile-some-one", fun () -> ignore (Mso_to_dfa.compile ~bits:1 mso_some_one));
       ( "properties/hamiltonian-grid3x4",
         fun () -> ignore (Properties.hamiltonian (Generators.grid ~rows:3 ~cols:4 ())) );
@@ -1863,7 +1554,6 @@ let bechamel_suite () =
         (full, ns))
       cases
   in
-  bechamel_rows := rows;
   row "%-42s %16s\n" "benchmark" "time/run";
   List.iter
     (fun (name, ns) ->
@@ -1873,7 +1563,8 @@ let bechamel_suite () =
         else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
         else Printf.sprintf "%.0f ns" ns
       in
-      row "%-42s %16s\n" name pretty)
+      row "%-42s %16s\n" name pretty;
+      record "bechamel_ns_per_run" [ ("name", Json.String name); ("ns", Json.Float ns) ])
     (List.sort compare rows)
 
 let () =
@@ -1927,15 +1618,10 @@ let () =
   timed "bechamel" bechamel_suite;
   let baseline = newest_bench () in
   let report = Printf.sprintf "BENCH_%d.json" (baseline + 1) in
-  write_bench_json report;
+  write_report report;
   Printf.printf "\nAll experiments completed; measurements written to %s.\n" report;
-  if !smoke && baseline > 0 then begin
-    let base = Printf.sprintf "BENCH_%d.json" baseline in
-    let bechamel_ok = regression_gate base in
-    let scaling_ok = scaling_gate base in
-    let serving_ok = serving_gate base in
-    let fault_axis_ok = fault_axis_gate base in
-    let certification_ok = certification_gate base in
-    if not (bechamel_ok && scaling_ok && serving_ok && fault_axis_ok && certification_ok) then
-      exit 1
-  end
+  let complete = report_complete report in
+  let gate_ok =
+    (not !smoke) || gate ~only:(fun _ -> true) (Printf.sprintf "BENCH_%d.json" baseline)
+  in
+  if not (complete && gate_ok) then exit 1

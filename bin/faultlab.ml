@@ -49,7 +49,7 @@ let () =
   in
   Printf.printf "fault axis: %d workloads x %d models, seed %d, budget %d evals\n"
     (List.length workloads) (List.length models) seed
-    (Fault_search.search_budget ());
+    Fault_search.search_budget;
   Printf.printf "%-20s %-22s %-8s %-6s %-6s %-9s %s\n" "workload" "model" "verdict" "flip@"
     "evals" "overhead" "replay";
   List.iter

@@ -4,6 +4,7 @@ type t =
   | Null
   | Bool of bool
   | Int of int
+  | Float of float
   | String of string
   | List of t list
   | Obj of (string * t) list
@@ -26,6 +27,16 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest of %.15g / %.17g that reads back as [f], with a
+   fraction or exponent kept so it parses back as a [Float]; JSON has no
+   literal for nan or the infinities. *)
+let float_literal f =
+  if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.15g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
 let rec print ~indent ~level buf v =
   let nl pad =
     match indent with
@@ -38,6 +49,7 @@ let rec print ~indent ~level buf v =
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
+  | Float f -> Buffer.add_string buf (float_literal f)
   | String s -> escape_to buf s
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
@@ -148,21 +160,34 @@ let of_string s =
     go ();
     Buffer.contents buf
   in
-  let parse_int () =
+  let parse_number () =
     let start = !pos in
-    if peek () = Some '-' then advance ();
-    let rec digits () =
-      match peek () with
-      | Some ('0' .. '9') ->
-          advance ();
-          digits ()
-      | _ -> ()
+    let skip pred =
+      while match peek () with Some c -> pred c | None -> false do
+        advance ()
+      done
     in
-    digits ();
-    if !pos = start then fail "expected a number at offset %d" start;
-    match int_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "bad number at offset %d" start
+    let digit c = c >= '0' && c <= '9' in
+    if peek () = Some '-' then advance ();
+    skip digit;
+    let fractional = ref false in
+    if peek () = Some '.' then begin
+      fractional := true;
+      advance ();
+      skip digit
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+        fractional := true;
+        advance ();
+        if peek () = Some '+' || peek () = Some '-' then advance ();
+        skip digit
+    | _ -> ());
+    let text = String.sub s start (!pos - start) in
+    match (!fractional, int_of_string_opt text, float_of_string_opt text) with
+    | false, Some v, _ -> Int v
+    | true, _, Some f -> Float f
+    | _ -> fail "bad number at offset %d" start
   in
   let rec parse_value () =
     skip_ws ();
@@ -224,7 +249,7 @@ let of_string s =
           in
           Obj (fields [])
         end
-    | Some ('-' | '0' .. '9') -> Int (parse_int ())
+    | Some ('-' | '0' .. '9') -> parse_number ()
     | Some c -> fail "unexpected character %c at offset %d" c !pos
   in
   let v = parse_value () in
@@ -242,5 +267,7 @@ let to_list = function List items -> items | _ -> fail "expected a list"
 let get_string = function String s -> s | _ -> fail "expected a string"
 
 let get_int = function Int n -> n | _ -> fail "expected an integer"
+
+let get_float = function Float f -> f | Int n -> float_of_int n | _ -> fail "expected a number"
 
 let get_bool = function Bool b -> b | _ -> fail "expected a boolean"

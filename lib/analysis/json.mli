@@ -1,13 +1,17 @@
 (** A minimal JSON value type with a printer and a parser, used by the
     spec analyzer to emit machine-readable diagnostic reports
-    ({!Diagnostic.to_json}, [bin/lint.exe --json]) and to round-trip
-    them in tests. Only what diagnostics need: no floats, no unicode
-    escapes beyond [\uXXXX] pass-through, integers fit in [int]. *)
+    ({!Diagnostic.to_json}, [bin/lint.exe --json]) and by the bench
+    harness to write its report and read the committed baseline back.
+    Integers fit in [int]; a number with a fraction or an exponent is a
+    [Float]. A finite float prints so that parsing gives back the same
+    number; nan and the infinities print as [null]. No unicode escapes
+    beyond [\uXXXX] pass-through. *)
 
 type t =
   | Null
   | Bool of bool
   | Int of int
+  | Float of float
   | String of string
   | List of t list
   | Obj of (string * t) list
@@ -35,4 +39,8 @@ val to_list : t -> t list
 
 val get_string : t -> string
 val get_int : t -> int
+
+val get_float : t -> float
+(** A [Float], or an [Int] widened to a float. *)
+
 val get_bool : t -> bool

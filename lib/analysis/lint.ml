@@ -396,7 +396,7 @@ let analyze_arbiter_optimum (spec : Registry.arbiter_spec) =
               (fun size ->
                 Optimum.search ~name:spec.Registry.a_name ~arbiter:spec.Registry.arbiter
                   ~universes:spec.Registry.universes ~family ~size ())
-              (Optimum.family_sizes ~default:sizes))
+              sizes)
       spec.Registry.opt_probes
   in
   List.iter (verify_result add) results;

@@ -49,26 +49,6 @@ let families =
 
 let family name = List.find_opt (fun f -> f.fam_name = name) families
 
-let family_sizes ~default =
-  match Sys.getenv_opt "LPH_OPT_FAMILY_SIZES" with
-  | None | Some "" -> default
-  | Some s -> (
-      let parts = List.map String.trim (String.split_on_char ',' s) in
-      match List.map int_of_string_opt parts with
-      | sizes when List.for_all (function Some k -> k > 0 | None -> false) sizes ->
-          List.filter_map Fun.id sizes
-      | _ ->
-          invalid_arg
-            "Optimum: LPH_OPT_FAMILY_SIZES must be a comma-separated list of positive integers")
-
-let budget_cap ~natural =
-  match Sys.getenv_opt "LPH_OPT_BUDGET_MAX" with
-  | None | Some "" -> natural
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some b when b >= 0 -> min natural b
-      | _ -> invalid_arg "Optimum: LPH_OPT_BUDGET_MAX must be a non-negative integer")
-
 (* ---- proof objects ------------------------------------------------- *)
 
 type core_proof = {
@@ -208,7 +188,6 @@ let run ~primary ~other ~name ~flabel ~arbiter ~universes g =
                     List.fold_left (fun acc c -> max acc (String.length c)) acc (u v)))
               0 eve
           in
-          let cap = budget_cap ~natural in
           let declared =
             match arbiter.Arbiter.cert_bound with
             | Some b -> Certs.declared_cap g ~ids b
@@ -223,14 +202,15 @@ let run ~primary ~other ~name ~flabel ~arbiter ~universes g =
           let proof_at budget =
             lower_bound_proof arbiter g ~ids ~universes ~eve ~budget
           in
-          if not (decide primary cap) then (
-            let agree = decide other cap = false in
-            match proof_at cap with
+          if not (decide primary natural) then (
+            let agree = decide other natural = false in
+            match proof_at natural with
             | Error detail -> finish ~agree (Unsupported detail)
-            | Ok proof -> finish ~agree ~declared (Rejected { max_budget = cap; proof }))
+            | Ok proof -> finish ~agree ~declared (Rejected { max_budget = natural; proof }))
           else begin
-            (* cap accepts: binary search for the lowest accepting budget *)
-            let lo = ref 0 and hi = ref cap in
+            (* the natural maximum accepts: binary search for the lowest
+               accepting budget *)
+            let lo = ref 0 and hi = ref natural in
             while !lo < !hi do
               let mid = (!lo + !hi) / 2 in
               if decide primary mid then hi := mid else lo := mid + 1
@@ -267,11 +247,12 @@ let search ?(engine = `Auto) ~name ~arbiter ~universes ~family ~size () =
           Hashtbl.replace memo key r);
       r
 
-(* Searches on explicit graphs are memoised per graph and die with it;
-   the label stays in the key because it names the result's family. *)
+(* Searches on explicit graphs are memoised per graph, on the arbiter's
+   id, and die with it; the label stays in the key because it names the
+   result's family. *)
 let graph_memo = Graph_memo.create ()
 
 let search_graph ?(engine = `Auto) ~name ~arbiter ~universes ~label g =
   let primary, other = engine_pair engine in
-  Graph_memo.find_or_add graph_memo g (name, label, engine_tag primary) (fun () ->
+  Graph_memo.find_or_add graph_memo g (arbiter.Arbiter.id, label, engine_tag primary) (fun () ->
       run ~primary ~other ~name ~flabel:label ~arbiter ~universes g)

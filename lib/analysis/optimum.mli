@@ -33,16 +33,6 @@ val families : family list
 
 val family : string -> family option
 
-val family_sizes : default:int list -> int list
-(** The size sweep: [LPH_OPT_FAMILY_SIZES] (comma-separated positive
-    integers) when set, [default] otherwise. Raises [Invalid_argument]
-    on a malformed value. *)
-
-val budget_cap : natural:int -> int
-(** The search's upper budget: the longest candidate certificate on
-    Eve's levels ([natural]), lowered by [LPH_OPT_BUDGET_MAX] when the
-    environment sets it. *)
-
 (** {1 Proof objects} *)
 
 type core_proof = {

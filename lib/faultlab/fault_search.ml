@@ -3,8 +3,8 @@
    workload under a model's budget. The search is greedy — grow the
    schedule one event at a time, keeping the extension that raises the
    damage objective the most — over the candidate grid kinds × rounds ×
-   nodes, with a hard cap on objective evaluations from
-   [LPH_FAULT_SEARCH_BUDGET]. Everything is deterministic: candidates
+   nodes, with a hard cap of [search_budget] objective evaluations.
+   Everything is deterministic: candidates
    are scanned in a fixed order, schedules are evaluated through
    {!Runner.run_outcome} (which forces the compute phase sequential
    under a plan), and positional choices inside an event come from the
@@ -26,9 +26,6 @@ module Fault_plan = Lph_faults.Fault_plan
 module Fault_model = Lph_faults.Fault_model
 module Arbiter = Lph_hierarchy.Arbiter
 module Game = Lph_hierarchy.Game
-module Error = Lph_util.Error
-
-let what = "Fault_search"
 
 type workload = {
   w_name : string;
@@ -68,16 +65,7 @@ type report = {
   r_base_accepts : bool;
 }
 
-let default_budget = 2000
-
-let search_budget () =
-  match Sys.getenv_opt "LPH_FAULT_SEARCH_BUDGET" with
-  | None | Some "" -> default_budget
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= 1 -> v
-      | _ ->
-          Error.protocol_error ~what "LPH_FAULT_SEARCH_BUDGET %S is not a positive integer" s)
+let search_budget = 2000
 
 (* ------------------------------------------------------------------ *)
 (* Damage objective.                                                   *)
@@ -246,7 +234,7 @@ let search ?(seed = 0) ~model w =
       in
       let base_rounds = match base with Some (_, _, r) -> r | None -> 1 in
       let candidates = candidate_events ~model ~n ~base_rounds in
-      let budget = search_budget () in
+      let budget = search_budget in
       let evals = ref 0 in
       let evaluate events =
         incr evals;

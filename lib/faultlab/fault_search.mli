@@ -4,8 +4,8 @@
 
     The search is greedy over the candidate grid (model kinds × rounds
     × nodes), growing the schedule one event at a time while the damage
-    objective improves, capped at [LPH_FAULT_SEARCH_BUDGET] objective
-    evaluations (default 2000). The objective is lexicographic: flipping
+    objective improves, capped at {!search_budget} objective
+    evaluations. The objective is lexicographic: flipping
     the workload's verdict ≫ typed errors / divergence ≫ survivor-label
     damage ≫ round overhead; a crash-stop the quorum absorbs
     ({!Lph_machine.Runner.Degraded}) scores barely above zero. Results
@@ -61,9 +61,8 @@ type report = {
   r_base_accepts : bool;
 }
 
-val search_budget : unit -> int
-(** The evaluation cap from [LPH_FAULT_SEARCH_BUDGET] (default 2000);
-    malformed values raise the typed [Error.Error (Protocol_error _)]. *)
+val search_budget : int
+(** The cap on objective evaluations per search: 2000. *)
 
 val search : ?seed:int -> model:Lph_faults.Fault_model.t -> workload -> report
 (** Run the greedy schedule search. Memoised on (workload name, model,

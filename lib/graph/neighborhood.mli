@@ -2,27 +2,21 @@
     induced by all nodes at distance at most [r] from [u]; it is the unit
     of "locally available information" throughout the paper.
 
-    Distance rows and balls are memoised per graph (graphs are immutable
-    after {!Labeled_graph.make}) in a {!Graph_memo} store, so the memo
-    dies with its graph; it is safe to use from parallel domains and
-    transparent to callers.
-
-    Two regimes, split at [LPH_FULL_ROW_MAX] (default 8192) nodes: small
-    graphs cache one full BFS distance row per source; large graphs
-    never materialise O(n) rows — balls come from truncated BFS that
-    explores only the r-ball (O(sum of ball degrees) per query), cached
-    in shard tables keyed by the source's graph segment, each shard
-    behind its own mutex. *)
+    Balls and distance rows are memoised per graph (graphs are
+    immutable after {!Labeled_graph.make}) in a {!Graph_memo} store, so
+    the memo dies with its graph; it is safe to use from parallel
+    domains and transparent to callers. Balls come from truncated BFS
+    that explores only the r-ball (O(sum of ball degrees) per query),
+    one table per graph keyed by (radius, source); whole O(n) distance
+    rows are kept for at most a few sources at a time. *)
 
 val distances : Labeled_graph.t -> int -> int array
 (** BFS distances from a node; unreachable is impossible (graphs are
-    connected). The row is computed once per (graph, source) and cached;
+    connected). The row is cached in a small bounded memo per graph;
     callers must not mutate the returned array. *)
 
 val distance : Labeled_graph.t -> int -> int -> int
-(** Single-pair distance. Served from the cached row when one endpoint
-    already has one; otherwise runs a BFS that stops as soon as the
-    target is reached instead of exploring the whole graph. *)
+(** Single-pair distance: a lookup in [u]'s {!distances} row. *)
 
 val ball : Labeled_graph.t -> radius:int -> int -> int list
 (** Nodes at distance [<= radius], sorted by node index. Costs

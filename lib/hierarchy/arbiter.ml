@@ -6,6 +6,7 @@ module Graph_memo = Lph_graph.Graph_memo
 type locality = Opaque | Ball of int
 
 type t = {
+  id : int;
   name : string;
   levels : int;
   id_radius : int;
@@ -125,6 +126,27 @@ let make_checker ~locality ~verdicts =
                     Hashtbl.replace state.memo key b);
                 b)
 
+(* Identity is fixed at construction: names alias (every Fagin arbiter
+   with the same levels and radius shares one), while a record update
+   keeps the id of the arbiter it copies. *)
+let next_id = Atomic.make 0
+
+let make ~name ~levels ~id_radius ~cert_bound ~locality ~verdicts ~accepts =
+  {
+    id = Atomic.fetch_and_add next_id 1;
+    name;
+    levels;
+    id_radius;
+    cert_bound;
+    locality;
+    verdicts;
+    checker = make_checker ~locality ~verdicts;
+    accepts;
+  }
+
+let opaque ~name ~levels ~id_radius ~cert_bound accepts =
+  make ~name ~levels ~id_radius ~cert_bound ~locality:Opaque ~verdicts:None ~accepts
+
 let of_local_algo ~id_radius ?cert_bound packed =
   let locality =
     match Lph_machine.Local_algo.radius packed with
@@ -135,18 +157,9 @@ let of_local_algo ~id_radius ?cert_bound packed =
     let result = Lph_machine.Runner.run packed g ~ids ~cert_list:(join_certs g certs) () in
     Array.init (G.card g) (fun u -> Lph_machine.Runner.verdict result u = "1")
   in
-  {
-    name = Lph_machine.Local_algo.name packed;
-    levels = Lph_machine.Local_algo.levels packed;
-    id_radius;
-    cert_bound;
-    locality;
-    verdicts = Some verdicts;
-    checker = make_checker ~locality ~verdicts:(Some verdicts);
-    accepts =
-      (fun g ~ids ~certs ->
-        Lph_machine.Runner.decides packed g ~ids ~cert_list:(join_certs g certs) ());
-  }
+  make ~name:(Lph_machine.Local_algo.name packed) ~levels:(Lph_machine.Local_algo.levels packed)
+    ~id_radius ~cert_bound ~locality ~verdicts:(Some verdicts) ~accepts:(fun g ~ids ~certs ->
+      Lph_machine.Runner.decides packed g ~ids ~cert_list:(join_certs g certs) ())
 
 let of_turing ~levels ~id_radius ?cert_bound ?verify_radius (m : Lph_machine.Turing.t) =
   let locality = match verify_radius with Some r -> Ball r | None -> Opaque in
@@ -154,19 +167,9 @@ let of_turing ~levels ~id_radius ?cert_bound ?verify_radius (m : Lph_machine.Tur
     let result = Lph_machine.Turing.run m g ~ids ~certs:(join_certs g certs) () in
     Array.init (G.card g) (fun u -> Lph_machine.Turing.verdict result u = "1")
   in
-  {
-    name = m.Lph_machine.Turing.name;
-    levels;
-    id_radius;
-    cert_bound;
-    locality;
-    verdicts = Some verdicts;
-    checker = make_checker ~locality ~verdicts:(Some verdicts);
-    accepts =
-      (fun g ~ids ~certs ->
-        Lph_machine.Turing.accepts
-          (Lph_machine.Turing.run m g ~ids ~certs:(join_certs g certs) ()));
-  }
+  make ~name:m.Lph_machine.Turing.name ~levels ~id_radius ~cert_bound ~locality
+    ~verdicts:(Some verdicts) ~accepts:(fun g ~ids ~certs ->
+      Lph_machine.Turing.accepts (Lph_machine.Turing.run m g ~ids ~certs:(join_certs g certs) ()))
 
 let decider_accepts t g ~ids =
   if t.levels <> 0 then invalid_arg "Arbiter.decider_accepts: arbiter expects certificates";

@@ -20,6 +20,11 @@ type locality =
           and [u]'s own degree *)
 
 type t = {
+  id : int;
+      (** fixed when the arbiter is built ({!of_local_algo},
+          {!of_turing}, {!opaque}) and unique to that construction;
+          compiled-game and duel caches key on it, because names alias.
+          A record update keeps the id of the arbiter it copies. *)
   name : string;
   levels : int;  (** ℓ: number of certificate assignments expected *)
   id_radius : int;  (** r_id: required local uniqueness of identifiers *)
@@ -65,6 +70,19 @@ val of_turing :
 (** [verify_radius] declares the machine's verification locality (the
     caller's responsibility to get right — an under-declared radius
     makes pruning unsound). Omitted means [Opaque]. *)
+
+val opaque :
+  name:string ->
+  levels:int ->
+  id_radius:int ->
+  cert_bound:Lph_graph.Certificates.bound option ->
+  (Lph_graph.Labeled_graph.t ->
+  ids:Lph_graph.Identifiers.t ->
+  certs:Lph_graph.Certificates.t list ->
+  bool) ->
+  t
+(** An arbiter known only by its acceptance function: [Opaque]
+    locality, no per-node verdicts, so engines never prune it. *)
 
 val decider_accepts : t -> Lph_graph.Labeled_graph.t -> ids:Lph_graph.Identifiers.t -> bool
 (** Run a 0-level arbiter (an LP-decider candidate). *)

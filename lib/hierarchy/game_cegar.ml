@@ -201,8 +201,8 @@ let build ~eve_first (a : Arbiter.t) g ~ids ~universes =
             s_generalised = 0;
           }
 
-(* Keyed like the {!Game_sat} cache (per graph, on the arbiter's name
-   AND locality, so radius variants of one name stay apart) plus the
+(* Keyed like the {!Game_sat} cache (per graph, on the arbiter's id
+   and locality) plus the
    first player (the two proposers differ in their pinned mode). Each
    duel is built once under its entry's lock, solves on distinct
    instances never serialise each other, and a duel dies with its
@@ -215,7 +215,7 @@ let instance ~eve_first (a : Arbiter.t) g ~ids ~universes =
   let choices =
     Array.of_list (List.map (fun universe -> Array.init (G.card g) universe) universes)
   in
-  Graph_memo.find_or_add duels g (a.Arbiter.name, a.Arbiter.locality, ids, choices, eve_first)
+  Graph_memo.find_or_add duels g (a.Arbiter.id, a.Arbiter.locality, ids, choices, eve_first)
     (fun () ->
       let universes = Array.to_list (Array.map (fun per_node u -> per_node.(u)) choices) in
       build ~eve_first a g ~ids ~universes)

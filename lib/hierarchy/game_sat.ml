@@ -209,10 +209,11 @@ let compile_uncached (a : Arbiter.t) g ~ids ~choices =
 
 (* Compiled instances are reused across game solves (sweeps and
    benchmarks re-solve the same graph under many prefixes), keyed per
-   graph on the arbiter's name and locality, the identifiers and the
+   graph on the arbiter's id and locality, the identifiers and the
    materialised universes, which double as the compile's input. Names
-   alone do not identify an arbiter: [Local_algo.with_radius] keeps the
-   name, so radius variants would otherwise share one compiled CNF.
+   do not identify an arbiter (Fagin arbiters of different sentences
+   share one), and a record update keeps the id while it may change
+   the locality, so both stay in the key.
    The store computes each key once, under a per-entry lock, so
    [LPH_JOBS>1] sweeps over independent (arbiter, graph) pairs compile
    concurrently, and an instance dies with its graph. *)
@@ -222,7 +223,7 @@ let compile_explain (a : Arbiter.t) g ~ids ~universes =
   let choices =
     Array.of_list (List.map (fun universe -> Array.init (G.card g) universe) universes)
   in
-  Graph_memo.find_or_add compiled g (a.Arbiter.name, a.Arbiter.locality, ids, choices) (fun () ->
+  Graph_memo.find_or_add compiled g (a.Arbiter.id, a.Arbiter.locality, ids, choices) (fun () ->
       compile_uncached a g ~ids ~choices)
 
 let compile a g ~ids ~universes = Result.to_option (compile_explain a g ~ids ~universes)

@@ -109,15 +109,7 @@ let lemma8_convert ~restrictors ~first (arbiter : Arbiter.t) =
     in
     scan 0 first [] certs
   in
-  {
-    Arbiter.name = arbiter.Arbiter.name ^ "+lemma8";
-    levels;
-    id_radius = arbiter.Arbiter.id_radius;
-    cert_bound = arbiter.Arbiter.cert_bound;
-    (* the restrictor wrapper reads whole-prefix validity, which is not
-       a ball-local property, so the converted arbiter cannot prune *)
-    locality = Arbiter.Opaque;
-    verdicts = None;
-    checker = Arbiter.opaque_checker;
-    accepts;
-  }
+  (* the restrictor wrapper reads whole-prefix validity, which is not
+     a ball-local property, so the converted arbiter cannot prune *)
+  Arbiter.opaque ~name:(arbiter.Arbiter.name ^ "+lemma8") ~levels
+    ~id_radius:arbiter.Arbiter.id_radius ~cert_bound:arbiter.Arbiter.cert_bound accepts

@@ -109,16 +109,8 @@ let arbiter = function
          evaluation: the catalog entry the scheduler-hardening
          regression tests aim at a live daemon. Its failure must come
          back as a typed error response for that request alone. *)
-      {
-        Arbiter.name = "raising-probe";
-        levels = 0;
-        id_radius = 0;
-        cert_bound = None;
-        locality = Arbiter.Opaque;
-        verdicts = None;
-        checker = Arbiter.opaque_checker;
-        accepts = (fun _ ~ids:_ ~certs:_ -> failwith "raising-probe: deliberate arbiter failure");
-      }
+      Arbiter.opaque ~name:"raising-probe" ~levels:0 ~id_radius:0 ~cert_bound:None
+        (fun _ ~ids:_ ~certs:_ -> failwith "raising-probe: deliberate arbiter failure")
 
 let universes = function
   | Coloring k -> [ Candidates.color_universe k ]

@@ -207,6 +207,17 @@ let json_tests =
             check_int "diagnostic count" (List.length report.Lint.diagnostics) (List.length l);
             ignore (List.map D.of_json l)
         | _ -> Alcotest.fail "missing diagnostics");
+    qcheck "finite floats read back as the same number"
+      (QCheck.make ~print:(Printf.sprintf "%h")
+         QCheck.Gen.(map (fun f -> if Float.is_finite f then f else 0.) float))
+      (fun f ->
+        let v = Json.List [ Json.Float f; Json.Obj [ ("ms", Json.Float f) ] ] in
+        Json.of_string (Json.to_string v) = v && Json.of_string (Json.pretty v) = v);
+    quick "non-finite floats print as null" (fun () ->
+        check_string "nan and infinities" "[null,null,null]"
+          (Json.to_string (Json.List [ Json.Float nan; Json.Float infinity; Json.Float neg_infinity ]));
+        check_bool "integers widen" true (Json.get_float (Json.of_string "3") = 3.);
+        check_bool "exponents are floats" true (Json.of_string "1e3" = Json.Float 1000.));
     quick "parser rejects garbage" (fun () ->
         List.iter
           (fun s ->

@@ -306,6 +306,41 @@ let sat_suite =
               check_int "radius-1 instance" 1 (Game_sat.radius i1);
               check_int "radius-0 instance" 0 (Game_sat.radius i0)
           | _ -> Alcotest.fail "both radius variants should compile");
+      quick "sentences sharing a Fagin name never share a compiled instance" (fun () ->
+          (* 2-COLORABLE and "adjacent nodes share a colour" compile to
+             arbiters of one name with equal node-only universes; a cache
+             keyed on the name answered whichever came second with the
+             first one's CNF *)
+          let same_colour =
+            let c k x = Formula.App (k, [ x ]) in
+            Formula.exists_so_many
+              [ ("C0", 1); ("C1", 1) ]
+              (Graph_formulas.forall_node "x"
+                 (Formula.And
+                    ( Formula.Or (c "C0" "x", c "C1" "x"),
+                      Graph_formulas.forall_node_near "y" "x"
+                        (Formula.And
+                           (Formula.Iff (c "C0" "x", c "C0" "y"), Formula.Iff (c "C1" "x", c "C1" "y")))
+                    )))
+          in
+          let name phi = (Fagin.compile phi).Fagin.arbiter.Arbiter.name in
+          check_bool "one name" true (name same_colour = name Graph_formulas.two_colorable);
+          List.iter
+            (fun order ->
+              let g = Generators.cycle 3 in
+              let ids = global_ids g in
+              let node_only t = List.for_all (fun e -> e < Graph.card g) t in
+              List.iter
+                (fun (label, phi) ->
+                  let compiled = Fagin.compile phi in
+                  let value engine = Fagin.game_accepts ~engine ~tuple_filter:node_only compiled g ~ids in
+                  let cegar = value `Cegar in
+                  check_bool label (value `Pruned) cegar)
+                order)
+            [
+              [ ("2-colorable", Graph_formulas.two_colorable); ("same colour", same_colour) ];
+              [ ("same colour", same_colour); ("2-colorable", Graph_formulas.two_colorable) ];
+            ]);
       quick "compiled clauses agree with the arbiter on every pinned assignment" (fun () ->
           let c5 = Generators.cycle 5 in
           check_clauses_against_arbiter "2-col C5" (v2 ()) c5

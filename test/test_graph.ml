@@ -438,9 +438,8 @@ let equivalence_tests =
                 (List.init n Fun.id))
           [ 0; 1; 2 ]);
     quick "large regime: sharded ball cache above the full-row threshold" (fun () ->
-        (* 10^4 nodes > the 8192 default LPH_FULL_ROW_MAX: balls come
-           from truncated BFS through the shard tables, distances from
-           the bounded row memo / pair BFS *)
+        (* 10^4 nodes: balls come from truncated BFS through the one
+           (radius, source) table, distances from the bounded row memo *)
         let n = 10_000 in
         let g = Generators.cycle n in
         Alcotest.(check (list int)) "ball r2 @ 0" [ 0; 1; 2; n - 2; n - 1 ]

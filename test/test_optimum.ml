@@ -171,10 +171,6 @@ let test_search_graph_per_graph () =
   check_string "label kept" "probe" r.Opt.r_family;
   check_bool "same graph, same result" true (r == probe odd)
 
-let test_family_env_knobs () =
-  check_bool "default sizes pass through" true (Opt.family_sizes ~default:[ 4; 6 ] = [ 4; 6 ]);
-  check_int "natural cap without override" 7 (Opt.budget_cap ~natural:7)
-
 (* ---- certification reductions -------------------------------------- *)
 
 let test_builtin_reductions_consistent () =
@@ -331,7 +327,6 @@ let suites =
         quick "explicit engines agree" test_engines_fixed_explicitly;
         quick "search is memoised" test_memoisation;
         quick "search_graph never shares a result between graphs" test_search_graph_per_graph;
-        quick "env knob defaults" test_family_env_knobs;
       ] );
     ( "cert-reduction",
       [
