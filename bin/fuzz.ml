@@ -7,7 +7,7 @@
      known no-instances (K4 vs 3-colouring, an odd cycle vs
      2-colouring, a contradictory Boolean graph vs SAT-GRAPH). No
      tampering may flip a no-instance to accept, and the fault-free
-     game must reject on every engine.
+     game must reject on the enumeration oracle and on every engine.
    - wire: corrupted and truncated transport bytes are decoded in both
      wire modes. Every failure must be the typed
      [Error.Decode_error] — a raw [Failure _] or [Invalid_argument _]
@@ -96,12 +96,16 @@ let fixtures =
       [ Array.init 5 (fun u -> Bitstring.of_int (u mod 2)); Array.init 5 (fun u -> Bitstring.of_int (u mod 2)) ] );
   ]
 
-let engines = [ ("exhaustive", `Exhaustive); ("pruned", `Pruned); ("cegar", `Cegar) ]
+let engines = [ ("pruned", `Pruned); ("cegar", `Cegar) ]
 
 let check_no_instances () =
   List.iter
     (fun (name, g, a, universes, _) ->
       let ids = Identifiers.make_global g in
+      if
+        Game.solve ~first:Game.Eve ~n:(Graph.card g) ~universes ~arbiter:(fun certs ->
+            a.Arbiter.accepts g ~ids ~certs)
+      then complain "fixture %s accepted by the enumeration oracle without faults" name;
       List.iter
         (fun (ename, e) ->
           if Game.sigma_accepts ~engine:e a g ~ids ~universes then

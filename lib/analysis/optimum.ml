@@ -136,8 +136,8 @@ let lower_bound_proof arbiter g ~ids ~universes ~eve ~budget =
           Ok (Core { p_budget = budget; core; p_assumptions = assumed; p_clauses }))
 
 (* The requested engine leads and an engine sharing none of its
-   machinery checks it: pruned search checks CEGAR, CEGAR checks the
-   enumerating engines. *)
+   machinery checks it: pruned search checks CEGAR, CEGAR checks
+   pruned search. *)
 let engine_pair engine =
   match Game.resolve engine with
   | `Cegar -> (`Cegar, `Pruned)
@@ -146,7 +146,6 @@ let engine_pair engine =
 let engine_tag = function
   | `Cegar -> "cegar"
   | `Pruned -> "pruned"
-  | `Exhaustive -> "exhaustive"
   | `Auto -> "auto"
 
 let run ~primary ~other ~name ~flabel ~arbiter ~universes g =

@@ -218,15 +218,16 @@ let search ?(seed = 0) ~model w =
             let r = Runner.run algo w.w_graph ~ids:w.w_ids ?cert_list:w.w_cert_list () in
             Some (Runner.accepts r, G.labels r.Runner.output, r.Runner.stats.Runner.rounds)
       in
-      (* The honest witness the certificate attack tries to invalidate,
-         certified by the game engine acting as the adversary's oracle.
-         Exhaustive enumeration keeps the witness identical across
-         engines and job counts. *)
+      (* The honest witness the certificate attack tries to invalidate:
+         the first accepting assignment in enumeration order, found by
+         the whole-graph arbiter, so it is the same whatever engine or
+         job count is in force. *)
       let witness =
-        match w.w_arbiter with
-        | Some arb when arb.Arbiter.levels = 1 && w.w_universes <> [] ->
-            Game.eve_witness ~engine:`Exhaustive arb w.w_graph ~ids:w.w_ids
-              ~universes:w.w_universes
+        match (w.w_arbiter, w.w_universes) with
+        | Some arb, [ universe ] when arb.Arbiter.levels = 1 ->
+            Seq.find
+              (fun k -> arb.Arbiter.accepts w.w_graph ~ids:w.w_ids ~certs:[ k ])
+              (Game.assignments ~n universe)
         | _ -> None
       in
       let base_accepts =
@@ -299,12 +300,15 @@ let search ?(seed = 0) ~model w =
 (* ------------------------------------------------------------------ *)
 (* Soundness: no in-budget plan may flip reject into accept.           *)
 
-let engines = [ ("exhaustive", `Exhaustive); ("pruned", `Pruned); ("cegar", `Cegar) ]
+let engines = [ ("pruned", `Pruned); ("cegar", `Cegar) ]
 
 let cert_soundness ?(engines = engines) ~model ~seeds arbiter g ~ids ~universes =
   let n = G.card g in
   let violations = ref [] in
   let complain fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+  if Game.solve ~first:Game.Eve ~n ~universes ~arbiter:(fun certs ->
+         arbiter.Arbiter.accepts g ~ids ~certs)
+  then complain "the enumeration oracle accepts the no-instance fault-free";
   List.iter
     (fun (ename, engine) ->
       if Game.sigma_accepts ~engine arbiter g ~ids ~universes then

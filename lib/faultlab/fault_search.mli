@@ -72,7 +72,7 @@ val search : ?seed:int -> model:Lph_faults.Fault_model.t -> workload -> report
 val clear_cache : unit -> unit
 
 val engines : (string * Lph_hierarchy.Game.engine) list
-(** The three concrete engines, in canonical order. *)
+(** The two concrete engines, in canonical order. *)
 
 val cert_soundness :
   ?engines:(string * Lph_hierarchy.Game.engine) list ->
@@ -83,8 +83,10 @@ val cert_soundness :
   ids:Lph_graph.Identifiers.t ->
   universes:Lph_hierarchy.Game.universe list ->
   string list
-(** Soundness probe on a {e no}-instance: every engine must reject the
-    fault-free game, and for every seed the model's compiled plan,
-    applied to seeded base certificates drawn from the universes, must
-    not make the arbiter accept. Returns human-readable violation
+(** Soundness probe on a {e no}-instance: the enumeration oracle
+    ({!Lph_hierarchy.Game.solve} over the arbiter's whole-graph
+    [accepts]) and every engine must reject the fault-free game, and
+    for every seed the model's compiled plan, applied to seeded base
+    certificates drawn from the universes, must not make the arbiter
+    accept. Returns human-readable violation
     descriptions ([[]] = sound). *)

@@ -115,20 +115,6 @@ let ball g ~radius u = List.map fst (Array.to_list (ball_array g ~radius u))
 
 let ball_distances g ~radius u = Array.to_list (ball_array g ~radius u)
 
-(* Dirty-set computation for incremental re-verification: a radius-r
-   verifier at [u] must be re-run after a certificate mutation iff
-   ball(u, r) meets the changed nodes — by symmetry of the distance,
-   iff [u] lies in some changed node's r-ball. The union is accumulated
-   directly (a hash set over the changed nodes' balls), so the cost is
-   O(sum of |ball|) — never a full O(n) sweep of the graph. *)
-let touched g ~radius changed =
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun v ->
-      Array.iter (fun (u, _) -> Hashtbl.replace seen u ()) (ball_array g ~radius v))
-    changed;
-  List.sort compare (Hashtbl.fold (fun u () acc -> u :: acc) seen [])
-
 let eccentricity g u = Array.fold_left max 0 (distances g u)
 
 let diameter g = G.fold_nodes g ~init:0 ~f:(fun acc u -> max acc (eccentricity g u))

@@ -28,12 +28,6 @@ val ball_distances : Labeled_graph.t -> radius:int -> int -> (int * int) list
     {!ball}; use it when the caller would otherwise re-derive distances
     from a full row. *)
 
-val touched : Labeled_graph.t -> radius:int -> int list -> int list
-(** [touched g ~radius changed]: the nodes whose radius-[radius] ball
-    intersects [changed] — exactly the verifiers a radius-[radius]
-    arbiter must re-run after the certificates of [changed] mutate
-    (the incremental-evaluation dirty set). Sorted by node index. *)
-
 val eccentricity : Labeled_graph.t -> int -> int
 val diameter : Labeled_graph.t -> int
 

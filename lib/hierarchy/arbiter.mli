@@ -10,7 +10,7 @@
     only on the radius-[r] view around it, which lets the game solver
     ({!Game.solve_pruned}) reject partial certificate assignments as
     soon as one fully-assigned ball rejects. [Opaque] arbiters fall
-    back to exhaustive search. *)
+    back to plain enumeration ({!Game.solve}). *)
 
 type locality =
   | Opaque  (** verdicts may depend on the whole graph: never prune *)

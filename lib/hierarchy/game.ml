@@ -35,7 +35,7 @@ let solve ~first ~n ~universes ~arbiter =
   in
   go first universes []
 
-type engine = [ `Auto | `Exhaustive | `Pruned | `Cegar ]
+type engine = [ `Auto | `Pruned | `Cegar ]
 
 (* [`Auto] defers to the environment (like [Parallel.jobs] and
    [LPH_JOBS]) so experiment binaries and CI legs can switch engines
@@ -45,52 +45,12 @@ let engine_of_env () : engine =
   | None | Some "" -> `Pruned
   | Some s -> (
       match String.lowercase_ascii (String.trim s) with
-      | "exhaustive" -> `Exhaustive
       | "pruned" -> `Pruned
       | "cegar" -> `Cegar
       | other ->
-          invalid_arg
-            (Printf.sprintf "Game: LPH_ENGINE must be exhaustive|pruned|cegar (got %S)" other))
+          invalid_arg (Printf.sprintf "Game: LPH_ENGINE must be pruned|cegar (got %S)" other))
 
 let resolve : engine -> engine = function `Auto -> engine_of_env () | e -> e
-
-(* Incremental re-verification for the exhaustive engine. Enumeration
-   orders ({!Lph_util.Combinat.product}) vary the trailing nodes
-   fastest, so consecutive certificate-list assignments differ at few
-   nodes; a [Ball r] arbiter's verdict at [u] can only change when the
-   mutation meets [ball(u, r)] ({!N.touched}), so only that dirty set
-   is re-run — through the memoised ball checker, which also
-   deduplicates recurring ball configurations. Opaque arbiters get no
-   oracle and keep running their full [accepts]. *)
-let incremental_accepts (a : Arbiter.t) g ~ids =
-  match (a.Arbiter.locality, Arbiter.ball_checker a g ~ids) with
-  | Arbiter.Ball r, Some check ->
-      let n = G.card g in
-      let verdicts = Array.make n true in
-      let prev = ref None in
-      Some
-        (fun (certs : Certs.t list) ->
-          let rerun = List.iter (fun u -> verdicts.(u) <- check u ~certs) in
-          (match !prev with
-          | Some old when List.length old = List.length certs ->
-              let changed =
-                List.filter
-                  (fun u -> List.exists2 (fun (k : Certs.t) (k' : Certs.t) -> k.(u) <> k'.(u)) old certs)
-                  (G.nodes g)
-              in
-              rerun (N.touched g ~radius:r changed)
-          | _ -> rerun (G.nodes g));
-          prev := Some (List.map Array.copy certs);
-          Array.for_all Fun.id verdicts)
-  | _ -> None
-
-let solve_exhaustive ~first (a : Arbiter.t) g ~ids ~universes =
-  let arbiter =
-    match incremental_accepts a g ~ids with
-    | Some oracle -> oracle
-    | None -> fun certs -> a.Arbiter.accepts g ~ids ~certs
-  in
-  solve ~first ~n:(G.card g) ~universes ~arbiter
 
 (* Pruned last-level search. The solver assigns the final quantifier
    level's certificates node by node, in BFS order from node 0, so that
@@ -106,8 +66,9 @@ let solve_exhaustive ~first (a : Arbiter.t) g ~ids ~universes =
 
    Ball verdicts are memoised on the ball's certificate contents, so
    re-assignments of nodes outside a ball never re-run the arbiter.
-   Earlier quantifier levels stay exhaustive: their certificates flow
-   into every ball, so no partial-assignment argument applies. *)
+   Earlier quantifier levels are enumerated in full: their
+   certificates flow into every ball, so no partial-assignment
+   argument applies. *)
 
 let pruned_last_level (a : Arbiter.t) g ~ids =
   match (a.Arbiter.locality, Arbiter.ball_checker a g ~ids) with
@@ -129,7 +90,7 @@ let pruned_last_level (a : Arbiter.t) g ~ids =
         let choices = Array.init n universe in
         if Array.exists (fun l -> l = []) choices then
           (* no assignment exists at all: neither an accepting nor a
-             rejecting one, matching exhaustive enumeration semantics *)
+             rejecting one, matching plain enumeration ({!solve}) *)
           None
         else begin
           let check_ball memo (current : string array) u =
@@ -184,12 +145,10 @@ let pruned_last_level (a : Arbiter.t) g ~ids =
   | _ -> None
 
 let solve_pruned ~first (a : Arbiter.t) g ~ids ~universes =
-  let exhaustive () =
-    solve ~first ~n:(G.card g) ~universes
-      ~arbiter:(fun certs -> a.Arbiter.accepts g ~ids ~certs)
-  in
   match (universes, pruned_last_level a g ~ids) with
-  | [], _ | _, None -> exhaustive ()
+  | [], _ | _, None ->
+      solve ~first ~n:(G.card g) ~universes
+        ~arbiter:(fun certs -> a.Arbiter.accepts g ~ids ~certs)
   | _, Some search ->
       let n = G.card g in
       let rec go player universes prefix =
@@ -214,7 +173,7 @@ let solve_pruned ~first (a : Arbiter.t) g ~ids ~universes =
    of {!Game_cegar}. When CEGAR cannot decide the game (opaque arbiter,
    over-budget compile, an empty candidate slot, or an
    [LPH_CEGAR_MAX_ITERS] overrun) pruned search answers instead, which
-   itself falls back to exhaustive enumeration on opaque arbiters. *)
+   itself falls back to plain enumeration on opaque arbiters. *)
 let solve_cegar ~first (a : Arbiter.t) g ~ids ~universes =
   match Game_cegar.solve ~eve_first:(first = Eve) a g ~ids ~universes with
   | Some value -> value
@@ -228,7 +187,6 @@ let check_levels (a : Arbiter.t) universes =
 
 let solve_first ~first engine a g ~ids ~universes =
   match resolve engine with
-  | `Exhaustive -> solve_exhaustive ~first a g ~ids ~universes
   | `Cegar -> solve_cegar ~first a g ~ids ~universes
   | `Auto | `Pruned -> solve_pruned ~first a g ~ids ~universes
 
@@ -244,26 +202,24 @@ let eve_witness ?(engine = `Auto) a g ~ids ~universes =
   check_levels a universes;
   match universes with
   | [ universe ] -> (
-      let exhaustive () =
-        let accepts =
-          match incremental_accepts a g ~ids with
-          | Some oracle -> fun k -> oracle [ k ]
-          | None -> fun k -> a.Arbiter.accepts g ~ids ~certs:[ k ]
-        in
-        Seq.find accepts (assignments ~n:(G.card g) universe)
-      in
       let pruned () =
         match pruned_last_level a g ~ids with
         | Some search -> search ~mode:`Accepting ~prefix:[] ~universe
-        | None -> exhaustive ()
+        | None ->
+            Seq.find
+              (fun k -> a.Arbiter.accepts g ~ids ~certs:[ k ])
+              (assignments ~n:(G.card g) universe)
       in
       match resolve engine with
-      | `Exhaustive -> exhaustive ()
       | `Cegar -> (
-          (* a one-level game has no outer block to refine: the duel is
-             a single solve on the compiled instance *)
-          match Game_sat.compile a g ~ids ~universes with
-          | Some inst -> Game_sat.eve_leaf inst ~prefix:[]
-          | None -> pruned ())
+          (* a one-level duel is one proposer solve; its unrefuted
+             proposal is Eve's witness *)
+          match Game_cegar.instance ~eve_first:true a g ~ids ~universes with
+          | None -> pruned ()
+          | Some d -> (
+              match Game_cegar.value d with
+              | Some true -> Game_cegar.winning_move d
+              | Some false -> None
+              | None -> pruned ()))
       | `Auto | `Pruned -> pruned ())
   | _ -> invalid_arg "Game.eve_witness: arbiter must have exactly one level"

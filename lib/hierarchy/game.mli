@@ -10,9 +10,11 @@
     licenses restricting quantifiers as long as the restrictors are
     locally repairable — the responsibility of the caller).
 
-    Three engines compute the game value. The exhaustive engine
-    ({!solve}) enumerates whole certificate assignments; its cost is
-    [Π_u |universe u|] per level. The pruned engine
+    Two engines compute the game value, and one oracle checks them.
+    The oracle is {!solve} over the arbiter's whole-graph [accepts]: it
+    enumerates whole certificate assignments, at a cost of
+    [Π_u |universe u|] arbiter runs per level, and shares no ball
+    checker, memo or search with the engines. The pruned engine
     ({!solve_pruned}) exploits arbiter {e locality}
     ({!Arbiter.locality}): the final quantifier level is assigned node
     by node in BFS order and a subtree is cut (or, for Adam, a
@@ -22,10 +24,10 @@
     The CEGAR engine ({!solve_cegar}) compiles the game to CNF
     ({!Game_sat}) and plays every quantifier block as a
     counterexample-guided duel between incremental solvers
-    ({!Game_cegar}). All engines agree on every input; the pruned one
-    silently falls back to exhaustive search for [Opaque] arbiters,
-    and the CEGAR one to pruned search whenever it cannot decide a
-    game. *)
+    ({!Game_cegar}). Both engines agree with the oracle on every
+    input; the pruned one falls back to plain enumeration for
+    [Opaque] arbiters, and the CEGAR one to pruned search whenever it
+    cannot decide a game. *)
 
 type player = Eve | Adam
 
@@ -58,24 +60,21 @@ val solve :
   universes:universe list ->
   arbiter:(Lph_graph.Certificates.t list -> bool) ->
   bool
-(** Exact game value by exhaustive enumeration: [universes] has one
-    entry per level, in move order. With [first = Eve] this computes
-    ∃k1 ∀k2 ... : arbiter [k1; k2; ...]. *)
+(** Exact game value by plain enumeration: [universes] has one entry
+    per level, in move order. With [first = Eve] this computes
+    ∃k1 ∀k2 ... : arbiter [k1; k2; ...]. Handed the arbiter's
+    whole-graph [accepts], this is the oracle the engines are checked
+    against. *)
 
-type engine = [ `Auto | `Exhaustive | `Pruned | `Cegar ]
+type engine = [ `Auto | `Pruned | `Cegar ]
 (** [`Auto] (the default everywhere) defers to the [LPH_ENGINE]
-    environment variable — ["exhaustive"], ["pruned"] or ["cegar"],
-    anything else raises [Invalid_argument], unset means pruned — read
-    at each call like [LPH_JOBS]. [`Exhaustive] forces enumeration
-    (with incremental dirty-set re-verification when the arbiter is
-    ball-local: only verifiers whose r-ball meets the certificate bits
-    changed since the previous candidate are re-run, via
-    {!Lph_graph.Neighborhood.touched}). [`Pruned] requests
-    locality-pruned search but still falls back to exhaustive on opaque
-    arbiters. [`Cegar] compiles the game to CNF ({!Game_sat}) and hands
-    every quantifier block to the abstraction-refinement duel of
-    {!Game_cegar}, falling back to [`Pruned] when it cannot decide the
-    game. *)
+    environment variable — ["pruned"] or ["cegar"], anything else
+    raises [Invalid_argument], unset means pruned — read at each call
+    like [LPH_JOBS]. [`Pruned] requests locality-pruned search, which
+    falls back to {!solve} on opaque arbiters. [`Cegar] compiles the
+    game to CNF ({!Game_sat}) and hands every quantifier block to the
+    abstraction-refinement duel of {!Game_cegar}, falling back to
+    [`Pruned] when it cannot decide the game. *)
 
 val resolve : engine -> engine
 (** Resolve [`Auto] against the [LPH_ENGINE] environment variable (see
@@ -90,10 +89,10 @@ val solve_pruned :
   universes:universe list ->
   bool
 (** Locality-pruned game value; agrees with {!solve} on the same
-    arbiter for every input. Earlier levels are enumerated
-    exhaustively; the last level is a backtracking search over nodes in
-    BFS order that stops descending as soon as a fully-assigned ball's
-    verdict is decisive. Falls back to {!solve} when the arbiter is
+    arbiter for every input. Earlier levels are enumerated in full;
+    the last level is a backtracking search over nodes in BFS order
+    that stops descending as soon as a fully-assigned ball's verdict
+    is decisive. Falls back to {!solve} when the arbiter is
     [Opaque] or carries no per-node verdict function. *)
 
 val solve_cegar :
@@ -136,6 +135,8 @@ val eve_witness :
   universes:universe list ->
   Lph_graph.Certificates.t option
 (** For a 1-level arbiter: a certificate assignment making it accept,
-    if one exists (the NLP witness). The pruned engine may return a
-    different — still valid — witness than exhaustive lexicographic
-    enumeration. *)
+    if one exists (the NLP witness). Pruned search returns the first
+    accepting assignment in its BFS order, CEGAR the duel's winning
+    move ({!Game_cegar.winning_move}); both may differ from the first
+    accepting assignment in {!assignments} order, and both are
+    valid. *)

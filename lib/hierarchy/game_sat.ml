@@ -260,11 +260,9 @@ let prefix_assumptions t ~prefix =
 
 let mode_lit ~eve = if eve then mode else -mode
 
-let solve_mode t ~prefix ~eve =
+let solve_model t ~prefix ~eve =
   let assumptions = mode_lit ~eve :: prefix_assumptions t ~prefix in
   Mutex.protect t.lock (fun () -> Solver.solve_with ~assumptions t.solver)
-
-let solve_model = solve_mode
 
 let model_level t model ~level =
   Array.mapi
@@ -275,11 +273,6 @@ let model_level t model ~level =
       in
       pick 0 cands)
     t.choices.(level)
-
-let eve_leaf t ~prefix =
-  match solve_mode t ~prefix ~eve:true with
-  | None -> None
-  | Some model -> Some (model_level t model ~level:(t.levels - 1))
 
 let rejecting_nodes t model =
   List.filter (fun u -> not model.(acc u)) (List.init (Array.length t.choices.(0)) Fun.id)

@@ -50,13 +50,6 @@ val compile_explain :
     the ball tables are over budget, [Protocol_error] when the arbiter
     is opaque or exposes no per-node verdicts. *)
 
-val eve_leaf : t -> prefix:Lph_graph.Certificates.t list -> Lph_graph.Certificates.t option
-(** A last-level certificate assignment under which every node accepts,
-    given the outer levels fixed to [prefix] (in move order, one entry
-    per level except the last) — or [None] if none exists. Raises
-    [Invalid_argument] if a prefix certificate is outside its level's
-    universe. *)
-
 val table_entries : t -> int
 (** Total number of tabulated ball configurations (the one-off compile
     cost, in verifier runs). *)
@@ -97,10 +90,12 @@ val selector : t -> level:int -> node:int -> string -> int
     universe. *)
 
 val solve_model : t -> prefix:Lph_graph.Certificates.t list -> eve:bool -> bool array option
-(** The raw model behind {!eve_leaf}: a last-level assignment (under
-    the outer [prefix]) making every node accept ([eve:true]) or some
-    node reject ([eve:false]), as a full valuation of the instance's
-    variables. *)
+(** A last-level assignment (under the outer [prefix], in move order,
+    one entry per level except the last) making every node accept
+    ([eve:true]) or some node reject ([eve:false]), as a full valuation
+    of the instance's variables — or [None] if none exists. Raises
+    [Invalid_argument] if a prefix certificate is outside its level's
+    universe. *)
 
 val model_level : t -> bool array -> level:int -> Lph_graph.Certificates.t
 (** Decode the certificate assignment a model selects at one level. *)

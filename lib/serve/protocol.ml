@@ -58,6 +58,11 @@ let what = "Serve_protocol"
    engine could answer anyway. *)
 let max_request_nodes = 1 lsl 20
 
+(* A complete graph's edges grow quadratically in its nodes, so its
+   size is bounded by edges: at most the largest servable torus's
+   2 x [max_request_nodes], which admits n <= 2048. *)
+let max_request_edges = 2 * max_request_nodes
+
 let spec_to_string = function
   | Cycle n -> Printf.sprintf "cycle-%d" n
   | Path n -> Printf.sprintf "path-%d" n
@@ -74,7 +79,9 @@ let guard spec ok =
 let build_graph spec =
   (match spec with
   | Cycle n -> guard spec (n >= 3 && n <= max_request_nodes)
-  | Path n | Complete n | Star n -> guard spec (n >= 1 && n <= max_request_nodes)
+  | Path n | Star n -> guard spec (n >= 1 && n <= max_request_nodes)
+  | Complete n ->
+      guard spec (n >= 1 && n <= max_request_nodes && n * (n - 1) / 2 <= max_request_edges)
   | Grid (r, c) | Torus (r, c) ->
       guard spec (r >= 1 && c >= 1 && r * c <= max_request_nodes);
       (match spec with Torus _ -> guard spec (r >= 3 && c >= 3) | _ -> ())
@@ -179,12 +186,12 @@ let property_codec =
       | 2 -> (Raising_probe, p)
       | t -> bad_tag "property" t)
 
-(* Tag 3 named the retired enumerate-outer-blocks SAT engine; it stays
-   unassigned (an unknown tag) so old clients get a typed refusal
-   rather than a different engine. *)
+(* Tag 1 named the retired exhaustive engine and tag 3 the retired
+   enumerate-outer-blocks SAT engine; both stay unassigned (unknown
+   tags) so old clients get a typed refusal rather than a different
+   engine. *)
 let engine_tag : Game.engine -> int = function
   | `Auto -> 0
-  | `Exhaustive -> 1
   | `Pruned -> 2
   | `Cegar -> 4
 
@@ -195,7 +202,6 @@ let engine_codec =
       let tag, p = dec_int s p in
       match tag with
       | 0 -> (`Auto, p)
-      | 1 -> (`Exhaustive, p)
       | 2 -> (`Pruned, p)
       | 4 -> (`Cegar, p)
       | t -> bad_tag "engine" t)

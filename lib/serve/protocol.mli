@@ -67,7 +67,8 @@ type response = {
 val build_graph : graph_spec -> Lph_graph.Labeled_graph.t
 (** Build the named graph (all labels ["1"], except expanders' seeded
     random labels). Raises [Error.Error (Protocol_error _)] for specs
-    outside the servable range ([max_request_nodes] nodes, degenerate
+    outside the servable range ([max_request_nodes] nodes, complete
+    graphs over 2 x [max_request_nodes] edges, degenerate
     parameters). *)
 
 val arbiter : property -> Lph_hierarchy.Arbiter.t

@@ -88,3 +88,10 @@ let arb_word ~alphabet ~max_len =
     (gen_word ~alphabet ~max_len)
 
 let global_ids g = Identifiers.make_global g
+
+(* The game-value oracle the engines are checked against: plain
+   enumeration ({!Game.solve}) over the arbiter's whole-graph
+   [accepts], sharing no ball checker, memo or search with them. *)
+let oracle first (a : Arbiter.t) g ~ids ~universes =
+  Game.solve ~first ~n:(Graph.card g) ~universes ~arbiter:(fun certs ->
+      a.Arbiter.accepts g ~ids ~certs)

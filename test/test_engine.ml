@@ -1,5 +1,5 @@
 (* The locality-aware game-solving engine: pruned search must agree
-   with exhaustive enumeration on every instance, the neighbourhood
+   with the enumeration oracle on every instance, the neighbourhood
    cache must be invisible, and the Domain work-pool must be
    deterministic in the job count. *)
 
@@ -30,7 +30,7 @@ let engine_equivalence =
           let ids = global_ids g in
           let universes = [ Candidates.color_universe 3 ] in
           Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
-          = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes);
+          = oracle Game.Eve a g ~ids ~universes);
       qcheck ~count:60 "pi 2col agrees on random graphs"
         (arb_graph ~max_nodes:5 ())
         (fun g ->
@@ -38,7 +38,7 @@ let engine_equivalence =
           let ids = global_ids g in
           let universes = [ Candidates.color_universe 2 ] in
           Game.pi_accepts ~engine:`Pruned a g ~ids ~universes
-          = Game.pi_accepts ~engine:`Exhaustive a g ~ids ~universes);
+          = oracle Game.Adam a g ~ids ~universes);
       qcheck ~count:40 "sigma counter verifier agrees on random graphs"
         (arb_graph ~max_nodes:4 ())
         (fun g ->
@@ -46,7 +46,7 @@ let engine_equivalence =
           let ids = global_ids g in
           let universes = [ Candidates.counter_universe ~bound:4 ] in
           Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
-          = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes);
+          = oracle Game.Eve a g ~ids ~universes);
       qcheck ~count:25 "sigma2 and pi2 agree for a two-level arbiter"
         (arb_graph ~max_nodes:4 ())
         (fun g ->
@@ -54,9 +54,9 @@ let engine_equivalence =
           let ids = global_ids g in
           let universes = [ Game.of_choices [ "0"; "1" ]; Game.of_choices [ "0"; "1" ] ] in
           Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
-          = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
+          = oracle Game.Eve a g ~ids ~universes
           && Game.pi_accepts ~engine:`Pruned a g ~ids ~universes
-             = Game.pi_accepts ~engine:`Exhaustive a g ~ids ~universes);
+             = oracle Game.Adam a g ~ids ~universes);
       quick "opaque arbiters fall back to exhaustive search" (fun () ->
           let a = v3 () in
           let opaque =
@@ -70,9 +70,22 @@ let engine_equivalence =
           let g = Generators.cycle 5 in
           let ids = global_ids g in
           let universes = [ Candidates.color_universe 3 ] in
-          check_bool "pruned request = exhaustive verdict"
-            (Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes)
+          check_bool "pruned request = oracle verdict"
+            (oracle Game.Eve a g ~ids ~universes)
             (Game.sigma_accepts ~engine:`Pruned opaque g ~ids ~universes));
+      quick "the oracle reads no ball checker" (fun () ->
+          (* a checker that rejects every ball while [accepts] stays
+             honest: pruned search follows the checker, the oracle asks
+             the whole graph *)
+          let lying =
+            { (v2 ()) with Arbiter.checker = (fun _ ~ids:_ -> Some (fun _ ~certs:_ -> false)) }
+          in
+          let g = Generators.cycle 4 in
+          let ids = global_ids g in
+          let universes = [ Candidates.color_universe 2 ] in
+          check_bool "pruned follows the checker" false
+            (Game.sigma_accepts ~engine:`Pruned lying g ~ids ~universes);
+          check_bool "oracle: C4 is 2-colourable" true (oracle Game.Eve lying g ~ids ~universes));
       quick "known verdicts survive the pruned engine" (fun () ->
           let a2 = v2 () and a3 = v3 () in
           let check_cycle n k expected =
@@ -170,8 +183,8 @@ let check_clauses_against_arbiter name (a : Arbiter.t) g ~universes =
         assignments
 
 (* The SAT backend: the compilation layer ({!Game_sat}) and the CEGAR
-   engine that plays games on it, against pruned search and exhaustive
-   enumeration. *)
+   engine that plays games on it, against pruned search and the
+   enumeration oracle. *)
 let sat_suite =
   ( "engine:sat",
     [
@@ -183,7 +196,7 @@ let sat_suite =
           let universes = [ Candidates.color_universe 2 ] in
           let cegar = Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes in
           cegar = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
-          && cegar = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes);
+          && cegar = oracle Game.Eve a g ~ids ~universes);
       qcheck ~count:30 "pi 3col: all three engines agree"
         (arb_graph ~max_nodes:6 ())
         (fun g ->
@@ -192,7 +205,7 @@ let sat_suite =
           let universes = [ Candidates.color_universe 3 ] in
           let cegar = Game.pi_accepts ~engine:`Cegar a g ~ids ~universes in
           cegar = Game.pi_accepts ~engine:`Pruned a g ~ids ~universes
-          && cegar = Game.pi_accepts ~engine:`Exhaustive a g ~ids ~universes);
+          && cegar = oracle Game.Adam a g ~ids ~universes);
       qcheck ~count:25 "radius-2 verifier: all three engines agree"
         (arb_graph ~max_nodes:6 ())
         (fun g ->
@@ -201,11 +214,10 @@ let sat_suite =
           let universes = [ Game.of_choices [ "0"; "1" ] ] in
           let cegar = Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes in
           cegar = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
-          && cegar = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
+          && cegar = oracle Game.Eve a g ~ids ~universes
           && Game.pi_accepts ~engine:`Cegar a g ~ids ~universes
-             = Game.pi_accepts ~engine:`Exhaustive a g ~ids ~universes);
-      (* a one-level cegar witness is the SAT model of the compiled
-         instance *)
+             = oracle Game.Adam a g ~ids ~universes);
+      (* a one-level cegar witness is the duel's unrefuted proposal *)
       qcheck ~count:30 "sat witness is valid and matches the game value"
         (arb_graph ~max_nodes:8 ())
         (fun g ->
@@ -215,27 +227,27 @@ let sat_suite =
           match Game.eve_witness ~engine:`Cegar a g ~ids ~universes with
           | Some w ->
               a.Arbiter.accepts g ~ids ~certs:[ w ]
-              && Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
-          | None -> not (Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes));
+              && oracle Game.Eve a g ~ids ~universes
+          | None -> not (oracle Game.Eve a g ~ids ~universes));
       quick "LPH_ENGINE selects the engine under `Auto" (fun () ->
           let g = Generators.cycle 7 in
           let a = v2 () in
           let ids = global_ids g in
           let universes = [ Candidates.color_universe 2 ] in
-          let expected = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes in
+          let expected = oracle Game.Eve a g ~ids ~universes in
           List.iter
             (fun e ->
               check_bool e expected (with_env "LPH_ENGINE" e (fun () -> Game.sigma_accepts a g ~ids ~universes)))
-            [ "pruned"; "exhaustive"; "cegar"; "CEGAR" ];
-          (* "sat" named the retired enumerate-outer-blocks engine *)
+            [ "pruned"; "cegar"; "CEGAR" ];
+          (* "sat" and "exhaustive" named retired engines *)
           List.iter
             (fun e ->
               match with_env "LPH_ENGINE" e (fun () -> Game.sigma_accepts a g ~ids ~universes) with
               | _ -> Alcotest.failf "LPH_ENGINE=%s: expected Invalid_argument" e
               | exception Invalid_argument msg ->
                   check_bool "message lists the engines" true
-                    (String.starts_with ~prefix:"Game: LPH_ENGINE must be exhaustive|pruned|cegar" msg))
-            [ "dpll"; "sat" ]);
+                    (String.starts_with ~prefix:"Game: LPH_ENGINE must be pruned|cegar" msg))
+            [ "dpll"; "sat"; "exhaustive" ]);
       quick "over-budget compiles fall back to pruned search" (fun () ->
           with_env "LPH_SAT_BUDGET" "1" (fun () ->
               (* fresh graph: the compile cache is keyed per graph *)
@@ -266,7 +278,7 @@ let sat_suite =
                       ~arbiter:(fun certs -> a.Arbiter.accepts g ~ids ~certs:(k1 :: certs))
                   in
                   check_bool "leaf agrees with enumeration" reference
-                    (Option.is_some (Game_sat.eve_leaf inst ~prefix:[ k1 ])))
+                    (Option.is_some (Game_sat.solve_model inst ~prefix:[ k1 ] ~eve:true)))
                 prefixes;
               check_bool "solver worked incrementally" true
                 ((Game_sat.solver_stats inst).decisions > 0));
@@ -278,7 +290,8 @@ let sat_suite =
           match Game_sat.compile a g ~ids ~universes with
           | None -> Alcotest.fail "two-level game should compile"
           | Some inst -> (
-              match Game_sat.eve_leaf inst ~prefix:[ [| "2"; "0"; "0"; "0"; "0" |] ] with
+              let prefix = [ [| "2"; "0"; "0"; "0"; "0" |] ] in
+              match Game_sat.solve_model inst ~prefix ~eve:true with
               | _ -> Alcotest.fail "expected Invalid_argument"
               | exception Invalid_argument _ -> ()));
       quick "radius variants of one arbiter never share a compiled instance" (fun () ->
@@ -295,12 +308,17 @@ let sat_suite =
           in
           check_bool "radius 1: C5 is not 2-colourable" false
             (Game.sigma_accepts ~engine:`Cegar r1 g ~ids ~universes);
-          (* radius 0: each verifier sees only its own colour *)
+          (* radius 0: the engines trust the declared radius, so each
+             verifier sees only its own colour *)
           List.iter
             (fun e ->
               check_bool "radius 0 accepts every colouring" true
                 (Game.sigma_accepts ~engine:e r0 g ~ids ~universes))
-            [ `Cegar; `Pruned; `Exhaustive ];
+            [ `Cegar; `Pruned ];
+          (* the declaration is false (the verifier reads its
+             neighbours), which lint's radius rules guard against; the
+             whole-graph oracle does not read it *)
+          check_bool "oracle: C5 is not 2-colourable" false (oracle Game.Eve r0 g ~ids ~universes);
           match (Game_sat.compile r1 g ~ids ~universes, Game_sat.compile r0 g ~ids ~universes) with
           | Some i1, Some i0 ->
               check_int "radius-1 instance" 1 (Game_sat.radius i1);
@@ -396,7 +414,7 @@ let cegar_suite =
           let ids = global_ids g in
           let universes = [ Candidates.color_universe 2 ] in
           let cegar = Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes in
-          cegar = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
+          cegar = oracle Game.Eve a g ~ids ~universes
           && cegar = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
           && Game.pi_accepts ~engine:`Cegar a g ~ids ~universes
              = Game.pi_accepts ~engine:`Pruned a g ~ids ~universes);
@@ -407,11 +425,10 @@ let cegar_suite =
           let ids = global_ids g in
           let cegar_s = Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes:bit_universes in
           let cegar_p = Game.pi_accepts ~engine:`Cegar a g ~ids ~universes:bit_universes in
-          List.for_all
-            (fun e ->
-              cegar_s = Game.sigma_accepts ~engine:e a g ~ids ~universes:bit_universes
-              && cegar_p = Game.pi_accepts ~engine:e a g ~ids ~universes:bit_universes)
-            [ `Exhaustive; `Pruned ]);
+          cegar_s = oracle Game.Eve a g ~ids ~universes:bit_universes
+          && cegar_p = oracle Game.Adam a g ~ids ~universes:bit_universes
+          && cegar_s = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes:bit_universes
+          && cegar_p = Game.pi_accepts ~engine:`Pruned a g ~ids ~universes:bit_universes);
       qcheck ~count:25 "robust-2col Σ2 value is exactly 2-COLORABLE"
         (arb_graph ~max_nodes:5 ())
         (fun g ->
@@ -568,8 +585,8 @@ let witness_suite =
           match Game.eve_witness ~engine:`Pruned a g ~ids ~universes with
           | Some w ->
               a.Arbiter.accepts g ~ids ~certs:[ w ]
-              && Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
-          | None -> not (Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes));
+              && oracle Game.Eve a g ~ids ~universes
+          | None -> not (oracle Game.Eve a g ~ids ~universes));
       quick "witness on C6 2col is a proper colouring" (fun () ->
           let g = Generators.cycle 6 in
           let a = v2 () in

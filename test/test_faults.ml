@@ -10,8 +10,8 @@
    [Error.Decode_error] in both wire modes — no raw [Failure _] leaks.
    (4) Certificate tampering is harmless to soundness: no flipped or
    forged certificate makes a no-instance accept, for the Eulerian,
-   colorability and SAT-GRAPH verifiers, across all three game
-   engines. *)
+   colorability and SAT-GRAPH verifiers, across both game engines and
+   the enumeration oracle. *)
 
 open Lph_core
 open Helpers
@@ -299,7 +299,11 @@ let wire_suite =
 (* Certificate soundness: tampering never flips a no-instance to
    accept, for every verifier and every engine *)
 
-let engines = [ `Exhaustive; `Pruned; `Cegar ]
+(* the game values soundness is checked on: both engines and the
+   enumeration oracle *)
+let game_values a g ~ids ~universes =
+  oracle Game.Eve a g ~ids ~universes
+  :: List.map (fun engine -> Game.sigma_accepts ~engine a g ~ids ~universes) [ `Pruned; `Cegar ]
 
 let attack_certs plan base = Array.mapi (fun u c -> fst (Fault_plan.tamper_cert plan ~node:u c)) base
 
@@ -322,10 +326,7 @@ let soundness_suite =
           let ids = global_ids g in
           let a = Arbiter.of_local_algo ~id_radius:2 (Candidates.color_verifier 3) in
           let universes = [ Candidates.color_universe 3 ] in
-          List.iter
-            (fun e ->
-              check_bool "game rejects" false (Game.sigma_accepts ~engine:e a g ~ids ~universes))
-            engines;
+          List.iter (check_bool "game rejects" false) (game_values a g ~ids ~universes);
           let base = Array.init 4 (fun u -> Bitstring.of_int (u mod 3)) in
           let fired = ref 0 in
           for seed = 0 to 199 do
@@ -344,10 +345,7 @@ let soundness_suite =
           let ids = global_ids g in
           let a = Arbiter.of_local_algo ~id_radius:2 (Candidates.color_verifier 2) in
           let universes = [ Candidates.color_universe 2 ] in
-          List.iter
-            (fun e ->
-              check_bool "game rejects" false (Game.sigma_accepts ~engine:e a g ~ids ~universes))
-            engines;
+          List.iter (check_bool "game rejects" false) (game_values a g ~ids ~universes);
           let base = Array.init 5 (fun u -> Bitstring.of_int (u mod 2)) in
           for seed = 0 to 199 do
             let plan =
@@ -367,10 +365,7 @@ let soundness_suite =
           let a = Arbiter.of_local_algo ~id_radius:2 Candidates.sat_graph_verifier in
           let universes = [ Candidates.sat_graph_universe bg ] in
           check_bool "unsatisfiable" false (Boolean_graph.satisfiable bg);
-          List.iter
-            (fun e ->
-              check_bool "game rejects" false (Game.sigma_accepts ~engine:e a bg ~ids ~universes))
-            engines;
+          List.iter (check_bool "game rejects" false) (game_values a bg ~ids ~universes);
           let base = [| "1"; "1" |] in
           for seed = 0 to 199 do
             let plan =
@@ -392,10 +387,7 @@ let soundness_suite =
           let ids = global_ids bg in
           let a = Arbiter.of_local_algo ~id_radius:2 Candidates.sat_graph_verifier in
           let universes = [ Candidates.sat_graph_universe bg ] in
-          List.iter
-            (fun e ->
-              check_bool "game accepts" true (Game.sigma_accepts ~engine:e a bg ~ids ~universes))
-            engines);
+          List.iter (check_bool "game accepts" true) (game_values a bg ~ids ~universes));
       qcheck ~count:25 "the SAT-GRAPH game agrees with satisfiability on every engine"
         (QCheck.list_of_size (QCheck.Gen.int_range 1 3)
            (arb_bool_formula ~vars:[ "x"; "y" ] ~depth:2 ()))
@@ -407,7 +399,7 @@ let soundness_suite =
           let a = Arbiter.of_local_algo ~id_radius:2 Candidates.sat_graph_verifier in
           let universes = [ Candidates.sat_graph_universe bg ] in
           let sat = Boolean_graph.satisfiable bg in
-          List.for_all (fun e -> Game.sigma_accepts ~engine:e a bg ~ids ~universes = sat) engines);
+          List.for_all (( = ) sat) (game_values a bg ~ids ~universes));
     ] )
 
 (* ------------------------------------------------------------------ *)
@@ -470,7 +462,7 @@ let budget_suite =
               let a = Arbiter.of_local_algo ~id_radius:2 (Candidates.color_verifier 2) in
               let universes = [ Candidates.color_universe 2 ] in
               Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes
-              = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes));
+              = oracle Game.Eve a g ~ids ~universes));
     ] )
 
 let suites = [ plan_suite; outcome_suite; wire_suite; soundness_suite; budget_suite ]

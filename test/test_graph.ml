@@ -425,18 +425,6 @@ let equivalence_tests =
                must be structurally identical — stronger than isomorphic *)
             Graph.equal ind ref_ind && Isomorphism.isomorphic ind ref_ind)
           (Graph.nodes g));
-    qcheck "touched = nodes whose ball meets the change set" (arb_spec ~max_nodes:12 ())
-      (fun spec ->
-        let g, r = both_cores spec in
-        let n = Graph.card g in
-        List.for_all
-          (fun radius ->
-            let changed = List.filteri (fun i _ -> i mod 3 = 0) (List.init n Fun.id) in
-            Neighborhood.touched g ~radius changed
-            = List.filter
-                (fun u -> List.exists (fun v -> List.mem v (Ref_core.ball r ~radius u)) changed)
-                (List.init n Fun.id))
-          [ 0; 1; 2 ]);
     quick "large regime: sharded ball cache above the full-row threshold" (fun () ->
         (* 10^4 nodes: balls come from truncated BFS through the one
            (radius, source) table, distances from the bounded row memo *)
@@ -448,8 +436,6 @@ let equivalence_tests =
           (Neighborhood.ball g ~radius:1 5000);
         check_int "distance across" (n / 2) (Neighborhood.distance g 0 (n / 2));
         check_int "distance near" 3 (Neighborhood.distance g 17 20);
-        Alcotest.(check (list int)) "touched r1" [ 0; 1; 4999; 5000; 5001; n - 1 ]
-          (Neighborhood.touched g ~radius:1 [ 0; 5000 ]);
         let ind = Neighborhood.r_neighbourhood g ~radius:2 42 in
         check_int "induced ball card" 5 (Graph.card ind.Neighborhood.subgraph);
         check_int "induced ball edges" 4 (Graph.num_edges ind.Neighborhood.subgraph));

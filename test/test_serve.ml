@@ -3,10 +3,10 @@
    Four layers are covered. The codec layer: request/response frames
    round-trip in both wire modes, and every way a frame can be
    malformed — bad mode byte, over-cap length, truncation, unknown
-   tags (including the retired engine tag 3), trailing garbage —
-   surfaces as a typed [Decode_error], never a raw exception. The
-   scheduler: answers match single-process [Game.resolve] for all
-   three engines, warm entries report cache hits,
+   tags (including the retired engine tags 1 and 3), trailing garbage
+   — surfaces as a typed [Decode_error], never a raw exception. The
+   scheduler: answers match single-process [Game.resolve] for both
+   engines, warm entries report cache hits,
    and the LRU bound actually evicts. The server: concurrent clients
    over a real Unix-domain socket, mixed wire modes on one daemon,
    pipelined responses matched by id. And the substrate satellites:
@@ -26,7 +26,7 @@ let some_requests =
     req (Serve_protocol.Coloring 3) (Serve_protocol.Cycle 5);
     req ~id:7 ~engine:`Cegar ~query:pi (Serve_protocol.Coloring 2) (Serve_protocol.Path 4);
     req ~id:0 ~engine:`Auto Serve_protocol.Robust_two_col (Serve_protocol.Grid (2, 3));
-    req ~engine:`Exhaustive (Serve_protocol.Coloring 2)
+    req ~engine:`Pruned (Serve_protocol.Coloring 2)
       (Serve_protocol.Expander { n = 9; cycles = 2; seed = 42 });
     req ~engine:`Pruned
       ~query:(Serve_protocol.Check [ [| "0"; "1"; "0" |]; [| "1"; "1"; "0" |] ])
@@ -77,16 +77,16 @@ let test_roundtrips () =
       List.iter (roundtrip_response wire) some_responses)
     [ Codec.Packed; Codec.Bits ]
 
-(* A well-formed request frame whose engine field carries tag 3, which
-   named the retired enumerate-outer-blocks SAT engine: an [`Auto]
-   request (one-byte tag 0, after the 5-byte header and the id) with
-   that byte rewritten. *)
-let retired_engine_frame () =
+(* A well-formed request frame whose engine field carries a retired
+   tag — 1 named the exhaustive engine, 3 the enumerate-outer-blocks
+   SAT engine: an [`Auto] request (one-byte tag 0, after the 5-byte
+   header and the id) with that byte rewritten. *)
+let retired_engine_frame tag =
   let r = req ~engine:`Auto (Serve_protocol.Coloring 3) (Serve_protocol.Cycle 5) in
   let f = Bytes.of_string (Serve_protocol.frame ~wire:Codec.Packed Serve_protocol.request_codec r) in
   let at = 5 + String.length (Codec.encode Codec.int r.Serve_protocol.id) in
   assert (Bytes.get f at = '\000');
-  Bytes.set f at '\003';
+  Bytes.set f at (Char.chr tag);
   Bytes.to_string f
 
 let is_decode_error f =
@@ -120,8 +120,23 @@ let test_malformed () =
       bad_payload
   in
   Alcotest.(check bool) "unknown engine tag" true (is_decode_error (fun () -> unframe framed));
-  Alcotest.(check bool) "retired engine tag 3" true
-    (is_decode_error (fun () -> unframe (retired_engine_frame ())))
+  List.iter
+    (fun tag ->
+      Alcotest.(check bool) (Printf.sprintf "retired engine tag %d" tag) true
+        (is_decode_error (fun () -> unframe (retired_engine_frame tag))))
+    [ 1; 3 ]
+
+(* A complete graph's edge count grows as n(n-1)/2: the guard bounds
+   it before a single edge is built, so one request cannot exhaust the
+   daemon's memory. *)
+let test_complete_bound () =
+  (match Serve_protocol.build_graph (Serve_protocol.Complete 2049) with
+  | _ -> Alcotest.fail "Complete 2049 should be refused"
+  | exception Error.Error (Error.Protocol_error { detail; _ }) ->
+      Alcotest.(check string) "typed refusal"
+        "graph spec complete-2049 is out of the servable range" detail);
+  Alcotest.(check int) "Complete 4 still builds" 6
+    (Graph.num_edges (Serve_protocol.build_graph (Serve_protocol.Complete 4)))
 
 (* ------------------------------------------------------------------ *)
 (* scheduler vs single-process answers *)
@@ -148,7 +163,7 @@ let engine_matrix =
         req ~engine Serve_protocol.Robust_two_col (Serve_protocol.Cycle 6);
         req ~engine Serve_protocol.Robust_two_col (Serve_protocol.Cycle 5);
       ])
-    [ `Exhaustive; `Pruned; `Cegar ]
+    [ `Pruned; `Cegar ]
 
 let submit_all sched reqs =
   let n = List.length reqs in
@@ -307,9 +322,9 @@ let test_server_pipelining () =
 
 let test_server_malformed_frames () =
   with_server @@ fun socket ->
-  (* a garbage payload in a valid frame, then a request naming the
-     retired engine tag 3: typed error responses, and the connection
-     keeps serving *)
+  (* a garbage payload in a valid frame, then requests naming the
+     retired engine tags 1 and 3: typed error responses, and the
+     connection keeps serving *)
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
@@ -328,7 +343,7 @@ let test_server_malformed_frames () =
           | Result.Error (Error.Decode_error _) -> ()
           | _ -> Alcotest.fail "expected a Decode_error outcome")
       | None -> Alcotest.fail "no error response")
-    [ header; retired_engine_frame () ];
+    [ header; retired_engine_frame 1; retired_engine_frame 3 ];
   (* same connection still answers real requests *)
   let good = req (Serve_protocol.Coloring 3) (Serve_protocol.Cycle 5) in
   Serve_protocol.write_frame fd ~wire:Codec.Packed Serve_protocol.request_codec good;
@@ -382,6 +397,8 @@ let suites =
       [
         Alcotest.test_case "round-trips (packed and bits)" `Quick test_roundtrips;
         Alcotest.test_case "malformed frames are typed decode errors" `Quick test_malformed;
+        Alcotest.test_case "complete graphs are bounded by their edge count" `Quick
+          test_complete_bound;
       ] );
     ( "serve:scheduler",
       [
