@@ -1467,6 +1467,7 @@ let bechamel_suite () =
         Local_algo.name = "noop";
         levels = 0;
         radius = None;
+        oblivious = false;
         init = (fun _ -> ());
         round =
           (fun ctx round () ~inbox:_ ->

@@ -5,7 +5,8 @@
 
    - certificate: flipped and forged certificates attack arbiters on
      known no-instances (K4 vs 3-colouring, an odd cycle vs
-     2-colouring, a contradictory Boolean graph vs SAT-GRAPH). No
+     2-colouring, a contradictory Boolean graph vs SAT-GRAPH, a path
+     vs 2-FACTOR). No
      tampering may flip a no-instance to accept, and the fault-free
      game must reject on the enumeration oracle and on every engine.
    - wire: corrupted and truncated transport bytes are decoded in both
@@ -70,6 +71,8 @@ let fixtures =
     Boolean_graph.make (Generators.path 2)
       [| Bool_formula.Var "x"; Bool_formula.Not (Bool_formula.Var "x") |]
   in
+  let p4 = Generators.path 4 in
+  let two_factor = Candidates.two_factor_universe p4 (Identifiers.make_global p4) in
   [
     ( "3col-K4",
       k4,
@@ -94,6 +97,15 @@ let fixtures =
       Arbiter.of_local_algo ~id_radius:1 Candidates.robust_two_col_verifier,
       [ Candidates.color_universe 2; Candidates.color_universe 2 ],
       [ Array.init 5 (fun u -> Bitstring.of_int (u mod 2)); Array.init 5 (fun u -> Bitstring.of_int (u mod 2)) ] );
+    (* an identifier-reading no-instance: certificates name two
+       neighbours by identifier, and the path's degree-1 ends get the
+       one certificate "0", which the verifier rejects — so the ball
+       checker keys this arbiter's verdicts on identifiers *)
+    ( "2factor-P4",
+      p4,
+      Arbiter.of_local_algo ~id_radius:2 Candidates.two_factor_verifier,
+      [ two_factor ],
+      [ Array.init 4 (fun u -> List.hd (two_factor u)) ] );
   ]
 
 let engines = [ ("pruned", `Pruned); ("cegar", `Cegar) ]

@@ -7,6 +7,7 @@ type rule =
   | Radius_sound
   | Radius_tight
   | Radius_expected
+  | Ids_oblivious
   | Stratification
   | Bounded_quantifiers
   | Certificate_budget
@@ -25,6 +26,7 @@ let all_rules =
     Radius_sound;
     Radius_tight;
     Radius_expected;
+    Ids_oblivious;
     Stratification;
     Bounded_quantifiers;
     Certificate_budget;
@@ -43,6 +45,7 @@ let rule_id = function
   | Radius_sound -> "arbiter/radius-sound"
   | Radius_tight -> "arbiter/radius-tight"
   | Radius_expected -> "arbiter/radius-expected"
+  | Ids_oblivious -> "arbiter/ids-oblivious"
   | Stratification -> "formula/stratification"
   | Bounded_quantifiers -> "formula/bounded-quantifiers"
   | Certificate_budget -> "formula/certificate-budget"
@@ -60,7 +63,7 @@ let rule_of_id id = List.find_opt (fun r -> rule_id r = id) all_rules
 (* the severity a violation of the rule is reported at (--rules) *)
 let rule_severity = function
   | Radius_tight | Budget_slack -> Warning
-  | Radius_declared | Radius_sound | Radius_expected | Stratification | Bounded_quantifiers
+  | Radius_declared | Radius_sound | Radius_expected | Ids_oblivious | Stratification | Bounded_quantifiers
   | Certificate_budget | Message_size | Cost_accounting | Cluster_radius | Output_poly
   | Fault_spec | Reduction_consistency | Lower_bound_replay ->
       Error
@@ -83,6 +86,12 @@ let rule_doc = function
       ( "for arbiters compiled from sentences, the declared radius must equal the bound \
          derived from the quantifier structure (visibility radius of the matrix + 1)",
         "Theorem 12" )
+  | Ids_oblivious ->
+      ( "an arbiter declared identifier-oblivious must give each node the same verdict on its \
+         induced ball when the ball's identifiers are permuted or rewritten to fresh strings \
+         (still locally unique): the ball checker shares one verdict across isomorphic balls \
+         on the strength of that declaration",
+        "Section 1.3 (LCL ⊆ LP); identifier-free decision" )
   | Stratification ->
       ( "the second-order prefix must consist of exactly the claimed number of alternating \
          blocks with the claimed initial polarity",

@@ -18,6 +18,7 @@ type rule =
   | Radius_sound  (** declared radius survives outside-ball probing *)
   | Radius_tight  (** no strictly smaller radius also survives *)
   | Radius_expected  (** declared radius equals the quantifier bound *)
+  | Ids_oblivious  (** an oblivious declaration survives identifier rewrites *)
   | Stratification  (** alternation blocks match the claimed level *)
   | Bounded_quantifiers  (** matrix is LFO: bounded FO quantifiers *)
   | Certificate_budget  (** fragment certificates fit the (r,p) bound *)

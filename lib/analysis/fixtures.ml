@@ -5,6 +5,8 @@ module Candidates = Lph_hierarchy.Candidates
 module GF = Lph_logic.Graph_formulas
 module F = Lph_logic.Formula
 module Cluster = Lph_reductions.Cluster
+module Compile = Lph_fagin.Compile
+module G = Lph_graph.Labeled_graph
 module Poly = Lph_util.Poly
 
 (* A correct radius-1 machine re-declared at radius 0: probing must
@@ -23,6 +25,34 @@ let over_declared () =
   Registry.of_algo
     (LA.with_radius (Some 2) Candidates.constant_label_decider)
     ~probes:[ Gen.cycle 5; Gen.path ~labels:[| "1"; "1"; "0" |] 3 ]
+
+(* Identifier-reading arbiters declared oblivious: the two-factor
+   verifier's certificates name neighbours by identifier, the Fagin
+   arbiter's reference elements by identifier. Probing must find a
+   node whose ball verdict changes when its identifiers are rewritten. *)
+let oblivious_two_factor () =
+  Registry.of_algo
+    (LA.oblivious Candidates.two_factor_verifier)
+    ~universes:(fun g ids -> [ Candidates.two_factor_universe g ids ])
+    ~probes:[ Gen.cycle 4; Gen.cycle 5 ]
+
+let oblivious_fagin () =
+  let c = Compile.compile GF.two_colorable in
+  let g = Gen.cycle 4 in
+  let ids = Lph_graph.Identifiers.make_global g in
+  let universes g ids =
+    Compile.fragment_universes ~tuple_filter:(List.for_all (fun i -> i < G.card g)) c g ~ids
+  in
+  (* an honest colouring, so the rewrites have an accepting verdict to
+     break *)
+  let honest =
+    Lph_hierarchy.Game.eve_witness ~engine:`Pruned c.Compile.arbiter g ~ids
+      ~universes:(universes g ids)
+  in
+  Registry.arbiter_spec ~name:"fixture:oblivious-fagin" ~probes:[ g ] ~universes
+    ~expectation:(Registry.Static (Lph_logic.Syntax.visibility_radius GF.two_colorable + 1))
+    ~extra_samples:(List.map (fun w -> { Probe.graph = g; certs = [ w ] }) (Option.to_list honest))
+    { c.Compile.arbiter with Arbiter.oblivious = true }
 
 (* ∃R ∀x ∃y R(y): the inner ∃y is an unbounded first-order quantifier,
    so the matrix is not LFO — locality is lost however low the level
@@ -111,6 +141,8 @@ let violations () =
         rename "fixture:opaque" (opaque ());
         rename "fixture:over-declared" (over_declared ());
         slack_budget ();
+        rename "fixture:oblivious-two-factor" (oblivious_two_factor ());
+        oblivious_fagin ();
       ];
     formulas =
       [
@@ -164,6 +196,8 @@ let expectations =
     ("fixture:under-declared", Diagnostic.Radius_sound, Diagnostic.Error);
     ("fixture:opaque", Diagnostic.Radius_declared, Diagnostic.Error);
     ("fixture:over-declared", Diagnostic.Radius_tight, Diagnostic.Warning);
+    ("fixture:oblivious-two-factor", Diagnostic.Ids_oblivious, Diagnostic.Error);
+    ("fixture:oblivious-fagin", Diagnostic.Ids_oblivious, Diagnostic.Error);
     ("fixture:over-deep-formula", Diagnostic.Stratification, Diagnostic.Error);
     ("fixture:unbounded-formula", Diagnostic.Bounded_quantifiers, Diagnostic.Error);
     ("fixture:misdeclared-sigma2", Diagnostic.Stratification, Diagnostic.Error);

@@ -12,6 +12,11 @@ val violations : unit -> Registry.t
     - an arbiter declaring no radius at all (Opaque locality);
     - an over-declared arbiter (radius 2 claimed for a radius-1
       machine: sound, but flagged as loose);
+    - two identifier-reading arbiters declared identifier-oblivious:
+      the two-factor verifier wrapped in [Local_algo.oblivious], and
+      the Fagin-compiled 2-COLORABLE arbiter with its [oblivious]
+      field set (its checker stays keyed on identifiers; the lint
+      rule probes the claim);
     - a Σ3 sentence claimed at level Σ1;
     - a sentence whose matrix uses an unbounded existential
       first-order quantifier (not LFO);

@@ -122,6 +122,68 @@ let analyze_messages add (spec : Registry.arbiter_spec) samples =
       | None -> ())
   | _ -> ()
 
+(* An arbiter declared identifier-oblivious: every sample node's verdict
+   on its induced ball must survive a rotation of the ball's
+   identifiers and a rewrite to fresh ones, both still locally unique.
+   [verdicts] is called directly, as the radius probe does: the
+   memoised ball checker would answer from a verdict shared on the
+   strength of the very declaration under test. *)
+let analyze_oblivious add (a : Arbiter.t) samples =
+  match (a.Arbiter.oblivious, a.Arbiter.locality, a.Arbiter.verdicts) with
+  | true, Arbiter.Ball r, Some verdicts ->
+      let radius = max r 1 in
+      let bad = ref None in
+      List.iteri
+        (fun index (s : Probe.sample) ->
+          let g = s.Probe.graph in
+          let ids = Ids.make_global g in
+          G.iter_nodes g (fun u ->
+              if !bad = None then begin
+                let ind = N.r_neighbourhood g ~radius u in
+                let sub = ind.N.subgraph in
+                let m = G.card sub in
+                let keep = Array.make m false in
+                List.iter
+                  (fun (v, d) -> if d <= r then keep.(Option.get (ind.N.to_sub v)) <- true)
+                  (N.ball_distances g ~radius u);
+                let certs =
+                  List.map
+                    (fun (c : Certs.t) ->
+                      Array.init m (fun i -> if keep.(i) then c.(ind.N.of_sub i) else ""))
+                    s.Probe.certs
+                in
+                let centre = Option.get (ind.N.to_sub u) in
+                let verdict ids = (verdicts sub ~ids ~certs).(centre) in
+                let own = Array.init m (fun i -> ids.(ind.N.of_sub i)) in
+                let width = Array.fold_left (fun w id -> max w (String.length id)) 0 own in
+                let bits = String.length (Lph_util.Bitstring.of_int m) in
+                let fresh i =
+                  String.make (width + 1) '1' ^ Lph_util.Bitstring.of_int_width ~width:bits (m - 1 - i)
+                in
+                let base = verdict own in
+                List.iter
+                  (fun (how, ids') ->
+                    if
+                      !bad = None
+                      && Ids.is_locally_unique sub ~radius:a.Arbiter.id_radius ids'
+                      && verdict ids' <> base
+                    then bad := Some (index, u, how))
+                  [
+                    ("rotated", Array.init m (fun i -> own.((i + 1) mod m)));
+                    ("rewritten to fresh strings", Array.init m fresh);
+                  ]
+              end))
+        samples;
+      Option.iter
+        (fun (index, u, how) ->
+          addf add D.Ids_oblivious D.Error
+            "node %d of probe sample %d changed its verdict when the identifiers of its \
+             %d-ball were %s: the declared identifier-obliviousness is false, and the ball \
+             checker would share verdicts between balls the identifiers tell apart"
+            u index radius how)
+        !bad
+  | _ -> ()
+
 let analyze_arbiter (spec : Registry.arbiter_spec) =
   let diags, add = collector spec.Registry.a_name in
   let a = spec.Registry.arbiter in
@@ -131,6 +193,7 @@ let analyze_arbiter (spec : Registry.arbiter_spec) =
       @ spec.Registry.extra_samples
     in
     analyze_radius add spec samples;
+    analyze_oblivious add a samples;
     analyze_messages add spec samples
   end
   else

@@ -2,53 +2,62 @@ module G = Labeled_graph
 
 let signature g u = (G.degree g u, G.label g u)
 
+(* Backtracking over [g]'s nodes in BFS order from node 0: every node
+   after the first has an already-mapped neighbour [w], so its image
+   must be a neighbour of [w]'s image and candidate sets are rows of
+   [h], not all of [h]. A candidate fits when it is unused, carries the
+   same degree and label, is adjacent to the images of all mapped
+   neighbours, and has no other used neighbour — with an injective
+   mapping that also preserves non-edges. *)
 let find g h =
   let n = G.card g in
   if n <> G.card h || G.num_edges g <> G.num_edges h then None
   else begin
-    let sorted sigs = List.sort compare sigs in
-    if
-      sorted (List.map (signature g) (G.nodes g))
-      <> sorted (List.map (signature h) (G.nodes h))
-    then None
+    let sorted gr = List.sort compare (List.map (signature gr) (G.nodes gr)) in
+    if sorted g <> sorted h then None
     else begin
       let mapping = Array.make n (-1) in
       let used = Array.make n false in
-      (* order g's nodes so that each node after the first is adjacent to an
-         earlier one (BFS order): candidate sets stay small *)
-      let order = Array.of_list (List.sort (fun u v -> compare (Neighborhood.distance g 0 u, u) (Neighborhood.distance g 0 v, v)) (G.nodes g)) in
+      let dist0 = Neighborhood.distances g 0 in
+      let order = Array.init n Fun.id in
+      Array.sort (fun u v -> compare (dist0.(u), u) (dist0.(v), v)) order;
       let compatible u v =
-        signature g u = signature h v
-        && List.for_all
-             (fun w -> mapping.(w) < 0 || G.has_edge h mapping.(w) v)
-             (G.neighbours g u)
-        && List.for_all
-             (fun w ->
-               (* non-edges must also be preserved *)
-               let mw = mapping.(w) in
-               mw < 0 || G.has_edge g u w || not (G.has_edge h mw v))
-             (G.nodes g)
+        (not used.(v))
+        && signature g u = signature h v
+        &&
+        let mapped = ref 0 and adjacent = ref true in
+        G.neighbours_iter g u (fun w ->
+            let mw = mapping.(w) in
+            if mw >= 0 then begin
+              incr mapped;
+              if not (G.has_edge h mw v) then adjacent := false
+            end);
+        !adjacent
+        && G.fold_neighbours h v ~init:0 ~f:(fun k x -> if used.(x) then k + 1 else k) = !mapped
+      in
+      let candidates u =
+        match G.fold_neighbours g u ~init:(-1) ~f:(fun acc w -> if acc < 0 && mapping.(w) >= 0 then w else acc) with
+        | -1 -> G.nodes h
+        | w -> G.neighbours h mapping.(w)
       in
       let rec assign i =
-        if i >= n then true
-        else begin
-          let u = order.(i) in
-          let rec try_candidates v =
-            if v >= n then false
-            else if (not used.(v)) && compatible u v then begin
-              mapping.(u) <- v;
-              used.(v) <- true;
-              if assign (i + 1) then true
-              else begin
-                mapping.(u) <- -1;
-                used.(v) <- false;
-                try_candidates (v + 1)
-              end
-            end
-            else try_candidates (v + 1)
-          in
-          try_candidates 0
-        end
+        i >= n
+        ||
+        let u = order.(i) in
+        List.exists
+          (fun v ->
+            compatible u v
+            && begin
+                 mapping.(u) <- v;
+                 used.(v) <- true;
+                 assign (i + 1)
+                 || begin
+                      mapping.(u) <- -1;
+                      used.(v) <- false;
+                      false
+                    end
+               end)
+          (candidates u)
       in
       if assign 0 then Some mapping else None
     end

@@ -12,6 +12,7 @@ type t = {
   id_radius : int;
   cert_bound : Certs.bound option;
   locality : locality;
+  oblivious : bool;
   verdicts :
     (G.t -> ids:Lph_graph.Identifiers.t -> certs:Certs.t list -> bool array) option;
   checker :
@@ -34,96 +35,88 @@ let opaque_checker _g ~ids:_ = None
    lets the solver treat two partial assignments that agree on the ball
    as equivalent.
 
-   The checker closure carries a cache shared by every solve against
-   this arbiter: neighbourhood extractions are reused across calls on
-   the same (graph, identifier assignment), and ball verdicts are
-   memoised on the ball's certificate contents, so repeated game solves
-   (sweeps, benchmarks) pay for each distinct ball configuration once.
-   The per-graph states live in a {!Lph_graph.Graph_memo} store and die
-   with their graph; [lock] guards only the verdict memos. *)
+   Verdicts are memoised per ball type. Each centre is filed once per
+   (graph, ids) under its {!Lph_graph.Ball_type}: the ball up to
+   isomorphisms that fix the centre and preserve labels, and identifiers
+   too unless the arbiter is declared oblivious. The one (type, member
+   certificates in the type's order) -> verdict table outlives graphs,
+   so an oblivious verifier runs once per ball type and certificate
+   pattern, however many centres and graphs carry it. A miss runs on
+   the centre's own ball and identifiers. The per-graph filing lives in
+   a {!Lph_graph.Graph_memo} store and dies with its graph; the table's
+   200 000-entry reset, which clears the type registry with it, is its
+   one bound, and [lock] guards it. *)
 
-type hood = {
-  ind : N.induced;
-  sub_ids : string array;
-  keep : bool array;  (** subgraph node within distance r of the centre *)
-  members : int list;  (** ball(u, r), original node indices *)
-  centre : int;
-}
+(* the member certificates in canonical order, each behind its length
+   in base-128 digits (high bit = more follow), so that distinct
+   certificate lists never share a signature *)
+let signature order certs =
+  let b = Buffer.create 32 in
+  let rec add_length n =
+    Buffer.add_char b (Char.chr ((n land 127) lor if n > 127 then 128 else 0));
+    if n > 127 then add_length (n lsr 7)
+  in
+  List.iter
+    (fun (c : Certs.t) ->
+      Array.iter
+        (fun v ->
+          add_length (String.length c.(v));
+          Buffer.add_string b c.(v))
+        order)
+    certs;
+  Buffer.contents b
 
-type checker_state = {
-  hoods : hood option array;
-  memo : (int * string, bool) Hashtbl.t;  (** (centre, ball certificate signature) *)
-}
-
-let make_checker ~locality ~verdicts =
+let make_checker ~oblivious ~locality ~verdicts =
   match (locality, verdicts) with
   | Opaque, _ | _, None -> opaque_checker
   | Ball r, Some verdicts ->
-      let eval_radius = max r 1 in
+      let radius = max r 1 in
       let lock = Mutex.create () in
+      let types = Lph_graph.Ball_type.registry () in
+      let table = Hashtbl.create 256 in
       let states = Graph_memo.create () in
       fun g ~ids ->
-        let state =
-          Graph_memo.find_or_add states g ids (fun () ->
-              { hoods = Array.make (G.card g) None; memo = Hashtbl.create 256 })
-        in
-        (* lazily built per node; racing domains recompute identical
-           values and an option write is a single pointer store, so
-           sharing the array without a lock is benign *)
-        let hood u =
-          match state.hoods.(u) with
-          | Some h -> h
+        (* centre -> (type, member order), filled lazily; racing domains
+           store equally valid values and an option write is a single
+           pointer store, so sharing the array without a lock is benign *)
+        let filed = Graph_memo.find_or_add states g ids (fun () -> Array.make (G.card g) None) in
+        let type_of u =
+          match filed.(u) with
+          | Some t -> t
           | None ->
-              let ind = N.r_neighbourhood g ~radius:eval_radius u in
-              let m = G.card ind.N.subgraph in
-              let sub_ids = Array.init m (fun i -> ids.(ind.N.of_sub i)) in
-              (* distances from the truncated BFS, not a full row: the
-                 whole hood must stay O(ball) or solvers iterating it
-                 over every node degrade to O(n^2) *)
-              let dist_tbl = Hashtbl.create 16 in
-              List.iter
-                (fun (v, d) -> Hashtbl.replace dist_tbl v d)
-                (N.ball_distances g ~radius:eval_radius u);
-              let within i =
-                match Hashtbl.find_opt dist_tbl (ind.N.of_sub i) with
-                | Some d -> d <= r
-                | None -> false
-              in
-              let keep = Array.init m within in
-              let members = N.ball g ~radius:r u in
-              let centre =
-                match ind.N.to_sub u with Some c -> c | None -> assert false
-              in
-              let h = { ind; sub_ids; keep; members; centre } in
-              state.hoods.(u) <- Some h;
-              h
+              let ids = if oblivious then None else Some ids in
+              let t = Lph_graph.Ball_type.classify types g ~ids ~radius ~keep:r u in
+              filed.(u) <- Some t;
+              t
+        in
+        let run u ~certs =
+          let ind = N.r_neighbourhood g ~radius u in
+          let sub v = Option.get (ind.N.to_sub v) in
+          let m = G.card ind.N.subgraph in
+          let keep = Array.make m false in
+          List.iter (fun (v, d) -> if d <= r then keep.(sub v) <- true) (N.ball_distances g ~radius u);
+          let sub_ids = Array.init m (fun i -> ids.(ind.N.of_sub i)) in
+          let sub_certs =
+            List.map
+              (fun (c : Certs.t) -> Array.init m (fun i -> if keep.(i) then c.(ind.N.of_sub i) else ""))
+              certs
+          in
+          (verdicts ind.N.subgraph ~ids:sub_ids ~certs:sub_certs).(sub u)
         in
         Some
           (fun u ~certs ->
-            let h = hood u in
-            let signature =
-              String.concat "\x02"
-                (List.map
-                   (fun (c : Certs.t) ->
-                     String.concat "\x01" (List.map (fun v -> c.(v)) h.members))
-                   certs)
-            in
-            let key = (u, signature) in
-            let cached = Mutex.protect lock (fun () -> Hashtbl.find_opt state.memo key) in
-            match cached with
+            let ty, order = type_of u in
+            let key = (ty, signature order certs) in
+            match Mutex.protect lock (fun () -> Hashtbl.find_opt table key) with
             | Some b -> b
             | None ->
-                let m = Array.length h.keep in
-                let sub_certs =
-                  List.map
-                    (fun (c : Certs.t) ->
-                      Array.init m (fun i -> if h.keep.(i) then c.(h.ind.N.of_sub i) else ""))
-                    certs
-                in
-                let b = (verdicts h.ind.N.subgraph ~ids:h.sub_ids ~certs:sub_certs).(h.centre) in
+                let b = run u ~certs in
                 Mutex.protect lock (fun () ->
-                    if Hashtbl.length state.memo > 200_000 then Hashtbl.reset state.memo;
-                    Hashtbl.replace state.memo key b);
+                    if Hashtbl.length table > 200_000 then begin
+                      Hashtbl.reset table;
+                      Lph_graph.Ball_type.clear types
+                    end;
+                    Hashtbl.replace table key b);
                 b)
 
 (* Identity is fixed at construction: names alias (every Fagin arbiter
@@ -131,7 +124,7 @@ let make_checker ~locality ~verdicts =
    keeps the id of the arbiter it copies. *)
 let next_id = Atomic.make 0
 
-let make ~name ~levels ~id_radius ~cert_bound ~locality ~verdicts ~accepts =
+let make ~name ~levels ~id_radius ~cert_bound ~locality ~oblivious ~verdicts ~accepts =
   {
     id = Atomic.fetch_and_add next_id 1;
     name;
@@ -139,26 +132,23 @@ let make ~name ~levels ~id_radius ~cert_bound ~locality ~verdicts ~accepts =
     id_radius;
     cert_bound;
     locality;
+    oblivious;
     verdicts;
-    checker = make_checker ~locality ~verdicts;
+    checker = make_checker ~oblivious ~locality ~verdicts;
     accepts;
   }
 
 let opaque ~name ~levels ~id_radius ~cert_bound accepts =
-  make ~name ~levels ~id_radius ~cert_bound ~locality:Opaque ~verdicts:None ~accepts
+  make ~name ~levels ~id_radius ~cert_bound ~locality:Opaque ~oblivious:false ~verdicts:None ~accepts
 
-let of_local_algo ~id_radius ?cert_bound packed =
-  let locality =
-    match Lph_machine.Local_algo.radius packed with
-    | Some r -> Ball r
-    | None -> Opaque
-  in
+let of_local_algo ~id_radius ?cert_bound (Lph_machine.Local_algo.Packed a as packed) =
+  let locality = match a.radius with Some r -> Ball r | None -> Opaque in
   let verdicts g ~ids ~certs =
     let result = Lph_machine.Runner.run packed g ~ids ~cert_list:(join_certs g certs) () in
     Array.init (G.card g) (fun u -> Lph_machine.Runner.verdict result u = "1")
   in
-  make ~name:(Lph_machine.Local_algo.name packed) ~levels:(Lph_machine.Local_algo.levels packed)
-    ~id_radius ~cert_bound ~locality ~verdicts:(Some verdicts) ~accepts:(fun g ~ids ~certs ->
+  make ~name:a.name ~levels:a.levels ~id_radius ~cert_bound ~locality ~oblivious:a.oblivious
+    ~verdicts:(Some verdicts) ~accepts:(fun g ~ids ~certs ->
       Lph_machine.Runner.decides packed g ~ids ~cert_list:(join_certs g certs) ())
 
 let of_turing ~levels ~id_radius ?cert_bound ?verify_radius (m : Lph_machine.Turing.t) =
@@ -167,7 +157,7 @@ let of_turing ~levels ~id_radius ?cert_bound ?verify_radius (m : Lph_machine.Tur
     let result = Lph_machine.Turing.run m g ~ids ~certs:(join_certs g certs) () in
     Array.init (G.card g) (fun u -> Lph_machine.Turing.verdict result u = "1")
   in
-  make ~name:m.Lph_machine.Turing.name ~levels ~id_radius ~cert_bound ~locality
+  make ~name:m.Lph_machine.Turing.name ~levels ~id_radius ~cert_bound ~locality ~oblivious:false
     ~verdicts:(Some verdicts) ~accepts:(fun g ~ids ~certs ->
       Lph_machine.Turing.accepts (Lph_machine.Turing.run m g ~ids ~certs:(join_certs g certs) ()))
 

@@ -32,6 +32,16 @@ type t = {
       (** the (r, p) bound the arbiter's quantifiers range over, when
           one is declared *)
   locality : locality;
+  oblivious : bool;
+      (** declared identifier use: [true] claims every verdict is the
+          same on isomorphic labelled balls whatever their identifiers,
+          so the ball checker shares one verdict per ball type across
+          centres and graphs. {!of_local_algo} copies it from the
+          algorithm ({!Lph_machine.Local_algo.oblivious}); {!of_turing}
+          and {!opaque} set [false]. The checker is keyed when the
+          arbiter is built: a record update of this flag does not
+          re-key it (lint's [arbiter/ids-oblivious] rule still probes
+          the updated claim). *)
   verdicts :
     (Lph_graph.Labeled_graph.t ->
     ids:Lph_graph.Identifiers.t ->
@@ -55,8 +65,9 @@ type t = {
 
 val of_local_algo :
   id_radius:int -> ?cert_bound:Lph_graph.Certificates.bound -> Lph_machine.Local_algo.packed -> t
-(** Wrap a local algorithm; [levels] is taken from the algorithm, and
-    [locality] from its declared radius ({!Lph_machine.Local_algo.radius}).
+(** Wrap a local algorithm; [levels] is taken from the algorithm,
+    [locality] from its declared radius ({!Lph_machine.Local_algo.radius})
+    and [oblivious] from its identifier-use declaration.
     The certificate assignments are joined into a certificate-list
     assignment before running, as in the paper. *)
 
@@ -107,8 +118,13 @@ val ball_checker :
     whole-graph run, for any extension of the certificates — the
     soundness basis of pruned search (see DESIGN.md).
 
-    Neighbourhood extractions and ball verdicts are cached inside the
-    arbiter (per graph and identifier assignment, memoised on ball
-    certificate contents), so repeated solves against the same arbiter
-    reuse each distinct ball configuration; a graph's share dies with
-    the graph. The closure is safe to call from parallel domains. *)
+    Verdicts are memoised per ball type ({!Lph_graph.Ball_type}): the
+    ball up to isomorphisms that fix the centre and preserve labels,
+    and identifiers unless [t] was built oblivious, together with the
+    members' certificates in the type's canonical order. The table
+    belongs to the arbiter and outlives graphs, so an oblivious
+    verifier runs once per ball type and certificate pattern across
+    every centre, solve and graph; a miss runs on [u]'s own ball and
+    identifiers. Each centre's type is found once per (graph,
+    identifier assignment), and that share dies with the graph. The
+    closure is safe to call from parallel domains. *)

@@ -3,11 +3,18 @@ module LA = Lph_machine.Local_algo
 module Gather = Lph_machine.Gather
 module B = Lph_util.Bitstring
 
+(* Every machine here that reads no identifier is declared
+   [LA.oblivious], so ball checkers share its verdicts across
+   isomorphic balls; [two_factor_verifier] names neighbours by
+   identifier and stays undeclared. *)
+
 let all_selected_decider =
-  LA.pure_decider ~name:"all-selected-decider" ~levels:0 (fun ctx -> ctx.LA.label = "1")
+  LA.oblivious
+    (LA.pure_decider ~name:"all-selected-decider" ~levels:0 (fun ctx -> ctx.LA.label = "1"))
 
 let eulerian_decider =
-  LA.pure_decider ~name:"eulerian-decider" ~levels:0 (fun ctx -> ctx.LA.degree mod 2 = 0)
+  LA.oblivious
+    (LA.pure_decider ~name:"eulerian-decider" ~levels:0 (fun ctx -> ctx.LA.degree mod 2 = 0))
 
 let ball_neighbours ball =
   List.filter (fun e -> e.Gather.dist = 1) ball.Gather.entries
@@ -18,12 +25,14 @@ let ball_self ball =
   | None -> Lph_util.Error.protocol_error ~what:"Candidates" "ball without centre entry"
 
 let constant_label_decider =
-  Gather.algo ~name:"constant-label-decider" ~radius:1 ~levels:0 ~decide:(fun ctx ball ->
+  LA.oblivious
+  @@ Gather.algo ~name:"constant-label-decider" ~radius:1 ~levels:0 ~decide:(fun ctx ball ->
       ctx.LA.charge (List.length ball.Gather.entries);
       List.for_all (fun e -> e.Gather.label = ctx.LA.label) (ball_neighbours ball))
 
 let local_two_col_decider ~radius =
-  Gather.algo ~name:(Printf.sprintf "local-2col-decider-r%d" radius) ~radius ~levels:0
+  LA.oblivious
+  @@ Gather.algo ~name:(Printf.sprintf "local-2col-decider-r%d" radius) ~radius ~levels:0
     ~decide:(fun ctx ball ->
       let sub, _, _, _ = Gather.reconstruct ball in
       ctx.LA.charge (G.card sub + G.num_edges sub);
@@ -34,7 +43,8 @@ let local_two_col_decider ~radius =
 let cert_value e = B.to_int (List.hd (Lph_util.Bitstring.split_hash e.Gather.cert))
 
 let color_verifier k =
-  Gather.algo ~name:(Printf.sprintf "%d-color-verifier" k) ~radius:1 ~levels:1
+  LA.oblivious
+  @@ Gather.algo ~name:(Printf.sprintf "%d-color-verifier" k) ~radius:1 ~levels:1
     ~decide:(fun ctx ball ->
       ctx.LA.charge (List.length ball.Gather.entries * k);
       let mine = cert_value (ball_self ball) in
@@ -48,7 +58,8 @@ let color_universe k _u = encodings k
 let counter_universe ~bound _u = encodings bound
 
 let exact_counter_verifier ~cap =
-  Gather.algo ~name:(Printf.sprintf "exact-counter-verifier-%d" cap) ~radius:1 ~levels:1
+  LA.oblivious
+  @@ Gather.algo ~name:(Printf.sprintf "exact-counter-verifier-%d" cap) ~radius:1 ~levels:1
     ~decide:(fun ctx ball ->
       ctx.LA.charge (List.length ball.Gather.entries);
       let mine = cert_value (ball_self ball) in
@@ -58,7 +69,8 @@ let exact_counter_verifier ~cap =
       else mine > 0 && List.exists (fun e -> cert_value e = mine - 1) (ball_neighbours ball))
 
 let mod_counter_verifier ~period =
-  Gather.algo ~name:(Printf.sprintf "mod-counter-verifier-%d" period) ~radius:1 ~levels:1
+  LA.oblivious
+  @@ Gather.algo ~name:(Printf.sprintf "mod-counter-verifier-%d" period) ~radius:1 ~levels:1
     ~decide:(fun ctx ball ->
       ctx.LA.charge (List.length ball.Gather.entries);
       let mine = cert_value (ball_self ball) in
@@ -87,7 +99,8 @@ let honest_mod_certs ~period ~n = Array.init n (fun i -> B.of_int (i mod period)
    this family the scaling probe for the dueling-solver engine. *)
 
 let robust_two_col_verifier =
-  Gather.algo ~name:"robust-2col-verifier" ~radius:1 ~levels:2 ~decide:(fun ctx ball ->
+  LA.oblivious
+  @@ Gather.algo ~name:"robust-2col-verifier" ~radius:1 ~levels:2 ~decide:(fun ctx ball ->
       ctx.LA.charge (2 * List.length ball.Gather.entries);
       let self = ball_self ball in
       let nbrs = ball_neighbours ball in
@@ -147,7 +160,8 @@ let sat_graph_valuation vars cert =
   end
 
 let sat_graph_verifier =
-  Gather.algo ~name:"sat-graph-verifier" ~radius:1 ~levels:1 ~decide:(fun ctx ball ->
+  LA.oblivious
+  @@ Gather.algo ~name:"sat-graph-verifier" ~radius:1 ~levels:1 ~decide:(fun ctx ball ->
       let self = ball_self ball in
       ctx.LA.charge (String.length self.Gather.label + String.length self.Gather.cert);
       match sat_graph_formula self.Gather.label with

@@ -15,11 +15,15 @@
      encoding of the finite universes;
    - an acceptance variable [a_u] per node, fixed by the node's
      ball-local verdict table: every combination of candidate
-     selections inside ball(u, r) is run through the (memoised)
+     selections inside ball(u, r) is asked of
      {!Arbiter.ball_checker}, and each row becomes one clause — the
      row's selectors imply [a_u] if the ball accepts, [~a_u] if it
-     rejects. Over exactly-one selectors that table already is a CNF,
-     the per-node-ball tableau of the Cook–Levin construction with no
+     rejects. The checker memoises verdicts per ball type, so for an
+     identifier-oblivious arbiter the verifier runs once per (type,
+     row) — 8 times for Σ1 2-col on any cycle — and the remaining
+     rows are table lookups; the clauses are still emitted per node.
+     Over exactly-one selectors that table already is a CNF, the
+     per-node-ball tableau of the Cook–Levin construction with no
      auxiliary variables;
    - a mode variable [m] with clauses [m -> a_u] for every node and
      [~m -> some a_u false], so the SAME solver instance answers both

@@ -258,6 +258,7 @@ let algo ~name ~radius ~levels ~decide =
       Local_algo.name;
       levels;
       radius = Some radius;
+      oblivious = false;
       init = init_state;
       round =
         (fun ctx round st ~inbox ->
@@ -273,6 +274,7 @@ let map_algo ~name ~radius ~levels ~f =
       Local_algo.name;
       levels;
       radius = Some radius;
+      oblivious = false;
       init = init_state;
       round =
         (fun ctx round st ~inbox ->
@@ -288,6 +290,7 @@ let ball_output_algo ~radius ~levels =
       Local_algo.name = "gather-ball";
       levels;
       radius = Some radius;
+      oblivious = false;
       init = init_state;
       round =
         (fun ctx round st ~inbox ->

@@ -23,6 +23,7 @@ type 'st t = {
   name : string;
   levels : int;
   radius : int option;
+  oblivious : bool;
   init : ctx -> 'st;
   round : ctx -> int -> 'st -> inbox:msg list -> 'st * msg list * bool;
   output : 'st -> string;
@@ -42,6 +43,7 @@ let pure_decider ~name ~levels verdict =
       name;
       levels;
       radius = Some 0;
+      oblivious = false;
       init =
         (fun ctx ->
           ctx.charge
@@ -55,3 +57,5 @@ let pure_decider ~name ~levels verdict =
 let map_output f (Packed a) = Packed { a with output = (fun st -> f (a.output st)) }
 
 let with_radius radius (Packed a) = Packed { a with radius }
+
+let oblivious (Packed a) = Packed { a with oblivious = true }

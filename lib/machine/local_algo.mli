@@ -56,6 +56,14 @@ type 'st t = {
           induced [N_r] subgraph with labels, identifiers, certificates
           and the node's own degree. [None] means the verdict may depend
           on the whole graph; solvers then cannot prune. *)
+  oblivious : bool;
+      (** declared identifier use: [true] claims the verdict never
+          reads identifiers, so isomorphic labelled balls (with equal
+          certificates) get equal verdicts. Every constructor sets
+          [false]; {!oblivious} raises the claim. An arbiter's ball
+          checker shares one verdict across isomorphic balls on its
+          strength, and the [arbiter/ids-oblivious] lint rule probes
+          it. *)
   init : ctx -> 'st;
   round : ctx -> int -> 'st -> inbox:msg list -> 'st * msg list * bool;
       (** [round ctx k st ~inbox] processes the messages received at the
@@ -91,3 +99,11 @@ val with_radius : int option -> packed -> packed
     the analyzer's fixtures (deliberately under-, over- and
     un-declared variants of a correct machine) — shipping code should
     declare its radius at construction. *)
+
+val oblivious : packed -> packed
+(** Declare the algorithm identifier-oblivious (see {!type:t}): its
+    verdicts must not change when the identifiers inside a ball are
+    permuted or rewritten, as long as they stay locally unique. Only
+    the claim changes; a false claim makes arbiters share verdicts
+    between balls that the identifiers tell apart. Algorithms that
+    name neighbours by identifier must not carry it. *)

@@ -292,6 +292,7 @@ let through_reduction reduction ~inner ?(sim_rounds = 64) () =
         Option.map
           (fun r -> reduction.Cluster.gather_radius + r)
           (LA.radius inner);
+      oblivious = false;
       init = (fun ctx -> { phase = Gathering (Gather.init_gather ctx) });
       round =
         (fun ctx round st ~inbox ->

@@ -644,6 +644,85 @@ let neighborhood_suite =
           check_int "self" 0 (Neighborhood.distance g 17 17));
     ] )
 
+(* An identifier-reading verifier: a node's certificate must be the
+   last bit of the smallest identifier in its closed neighbourhood, and
+   its neighbours must carry the same certificate. Under global
+   identifiers those bits differ between centres of one ball type on a
+   cycle or torus, so Eve loses; verdicts shared across isomorphic
+   balls would accept the all-zero assignment everywhere once node 0's
+   ball (smallest identifier 0) had been checked. *)
+let min_id_bit_verifier =
+  Gather.algo ~name:"min-id-bit" ~radius:1 ~levels:1 ~decide:(fun ctx ball ->
+      let self = List.find (fun e -> e.Gather.dist = 0) ball.Gather.entries in
+      let nbrs = List.filter (fun e -> e.Gather.dist = 1) ball.Gather.entries in
+      let least =
+        List.fold_left
+          (fun m e -> if Identifiers.compare_id e.Gather.ident m < 0 then e.Gather.ident else m)
+          ctx.Local_algo.ident nbrs
+      in
+      let bit = if least = "" then "" else String.sub least (String.length least - 1) 1 in
+      self.Gather.cert = bit && List.for_all (fun e -> e.Gather.cert = bit) nbrs)
+
+let ball_type_suite =
+  ( "engine:ball-types",
+    [
+      quick "one verdict per ball type" (fun () ->
+          (* every verdict runs the verifier on a 3-node path, which
+             calls [output] once per node *)
+          let outputs = Atomic.make 0 in
+          let counted =
+            Local_algo.oblivious
+              (Local_algo.map_output
+                 (fun v ->
+                   Atomic.incr outputs;
+                   v)
+                 (Candidates.color_verifier 2))
+          in
+          let a = Arbiter.of_local_algo ~id_radius:1 counted in
+          let universes = [ Candidates.color_universe 2 ] in
+          let verdict_runs n =
+            let g = Generators.cycle n in
+            Atomic.set outputs 0;
+            check_bool "compiles" true (Game_sat.compile a g ~ids:(global_ids g) ~universes <> None);
+            Atomic.get outputs / 3
+          in
+          (* one ball type times 2^3 selections, where a per-centre
+             memo runs 80 000 *)
+          check_bool "C10000: at most 8 verdict runs" true (verdict_runs 10_000 <= 8);
+          check_int "a second cycle: none" 0 (verdict_runs 9_999));
+      quick "identifier-reading arbiters never share a verdict across centres" (fun () ->
+          let a = Arbiter.of_local_algo ~id_radius:2 min_id_bit_verifier in
+          let bits = [ Game.of_choices [ "0"; "1" ] ] in
+          List.iter
+            (fun (name, g) ->
+              let ids = global_ids g in
+              let expected = oracle Game.Eve a g ~ids ~universes:bits in
+              check_bool (name ^ ": oracle") false expected;
+              List.iter
+                (fun (e, engine) ->
+                  check_bool (name ^ ": " ^ e) expected
+                    (Game.sigma_accepts ~engine a g ~ids ~universes:bits))
+                [ ("pruned", `Pruned); ("cegar", `Cegar) ])
+            [
+              ("C6", Generators.cycle 6);
+              ("C7", Generators.cycle 7);
+              ("torus 3x3", Generators.torus ~rows:3 ~cols:3 ());
+            ];
+          (* certificates that name neighbours by identifier *)
+          let tf = Arbiter.of_local_algo ~id_radius:2 Candidates.two_factor_verifier in
+          List.iter
+            (fun g ->
+              let ids = global_ids g in
+              let universes = [ Candidates.two_factor_universe g ids ] in
+              let expected = oracle Game.Eve tf g ~ids ~universes in
+              List.iter
+                (fun engine ->
+                  check_bool "two-factor" expected
+                    (Game.sigma_accepts ~engine tf g ~ids ~universes))
+                [ `Pruned; `Cegar ])
+            [ Generators.cycle 5; Generators.cycle 6; Generators.path 4 ]);
+    ] )
+
 let parallel_suite =
   ( "engine:parallel-pool",
     [
@@ -754,6 +833,7 @@ let runner_suite =
 let suites =
   [
     engine_equivalence;
+    ball_type_suite;
     sat_suite;
     cegar_suite;
     witness_suite;

@@ -260,6 +260,34 @@ let isomorphism_tests =
               (List.for_all (fun (u, v) -> Graph.has_edge g m.(u) m.(v)) (Graph.edges g)));
     qcheck "graphs are isomorphic to themselves" (arb_graph ~max_nodes:6 ()) (fun g ->
         Isomorphism.isomorphic g g);
+    qcheck ~count:200 "find maps a graph onto any permutation of it"
+      (QCheck.pair (arb_graph ~max_nodes:8 ~label_bits:2 ()) (QCheck.int_bound 1_000_000))
+      (fun (g, seed) ->
+        let n = Graph.card g in
+        let perm = Array.init n Fun.id in
+        let rng = Random.State.make [| seed |] in
+        for i = n - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let t = perm.(i) in
+          perm.(i) <- perm.(j);
+          perm.(j) <- t
+        done;
+        (* node perm.(u) of h carries u's label and edges *)
+        let labels = Array.make n "" in
+        Array.iteri (fun u p -> labels.(p) <- Graph.label g u) perm;
+        let h =
+          Graph.make ~labels ~edges:(List.map (fun (u, v) -> (perm.(u), perm.(v))) (Graph.edges g))
+        in
+        match Isomorphism.find g h with
+        | None -> false
+        | Some m ->
+            let nodes = Graph.nodes g in
+            List.sort compare (Array.to_list m) = nodes
+            && List.for_all (fun u -> Graph.label g u = Graph.label h m.(u)) nodes
+            && List.for_all
+                 (fun u ->
+                   List.for_all (fun v -> Graph.has_edge g u v = Graph.has_edge h m.(u) m.(v)) nodes)
+                 nodes);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -105,6 +105,7 @@ let runner_tests =
               Local_algo.name = "router";
               levels = 0;
               radius = None;
+              oblivious = false;
               init = (fun ctx -> (ctx.Local_algo.ident, ref ""));
               round =
                 (fun ctx round ((_, got) as st) ~inbox ->
@@ -135,6 +136,7 @@ let runner_tests =
               Local_algo.name = "loop";
               levels = 0;
               radius = None;
+              oblivious = false;
               init = (fun _ -> ());
               round = (fun _ _ () ~inbox:_ -> ((), [], false));
               output = (fun () -> "1");
@@ -156,6 +158,7 @@ let runner_tests =
               Local_algo.name = "chatty";
               levels = 0;
               radius = None;
+              oblivious = false;
               init = (fun _ -> ());
               round =
                 (fun ctx _ () ~inbox:_ ->
