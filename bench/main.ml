@@ -2,10 +2,11 @@
    paper (see DESIGN.md, experiment index E1-E16), then times the core
    operations with Bechamel and writes the measurements to a versioned
    report. Baselines rotate automatically: the harness finds the
-   newest committed BENCH_<N>.json, writes BENCH_<N+1>.json, and
-   --smoke runs one gate against BENCH_<N>.json: shared rows may not
-   change their verdict or run more than 2x slower beyond an absolute
-   band, and every engine and served answer must agree.
+   newest committed BENCH_<N>.json and writes BENCH_<N+1>.json. A
+   --smoke run writes bench-smoke.json instead, which is never read as
+   a baseline, and runs one gate against BENCH_<N>.json: shared rows
+   may not change their verdict or run more than 2x slower beyond an
+   absolute band, and every engine and served answer must agree.
 
    Run with: dune exec bench/main.exe
    CI smoke: dune exec bench/main.exe -- --smoke   (small instances,
@@ -68,8 +69,12 @@ let write_report path =
 (* ---- baseline rotation --------------------------------------------- *)
 
 (* Reports are versioned BENCH_<N>.json. The newest file present is the
-   committed baseline of the previous PR; this run writes <N+1>, so
-   baselines rotate without editing the harness. *)
+   committed baseline of the previous change; a full run writes <N+1>,
+   so baselines rotate without editing the harness. A smoke report's
+   name has no number, so a second smoke still gates against the
+   committed baseline, not against the first smoke. *)
+let smoke_report = "bench-smoke.json"
+
 let bench_number name =
   match String.length name with
   | len when len > 11 && String.sub name 0 6 = "BENCH_" && Filename.check_suffix name ".json" ->
@@ -1617,7 +1622,7 @@ let () =
   timed "certification" exp_certification;
   timed "bechamel" bechamel_suite;
   let baseline = newest_bench () in
-  let report = Printf.sprintf "BENCH_%d.json" (baseline + 1) in
+  let report = if !smoke then smoke_report else Printf.sprintf "BENCH_%d.json" (baseline + 1) in
   write_report report;
   Printf.printf "\nAll experiments completed; measurements written to %s.\n" report;
   let complete = report_complete report in

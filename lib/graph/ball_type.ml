@@ -9,13 +9,18 @@ type rep = {
 
 type registry = {
   lock : Mutex.t;
-  buckets : (string, rep list) Hashtbl.t;  (** invariant -> representatives *)
+  stars : (string, int) Hashtbl.t;  (** star key -> number *)
+  buckets : (string, rep list) Hashtbl.t;  (** keep and invariant -> representatives *)
   next : int Atomic.t;
 }
 
-let registry () = { lock = Mutex.create (); buckets = Hashtbl.create 64; next = Atomic.make 0 }
+let registry () =
+  { lock = Mutex.create (); stars = Hashtbl.create 64; buckets = Hashtbl.create 64; next = Atomic.make 0 }
 
-let clear reg = Mutex.protect reg.lock (fun () -> Hashtbl.reset reg.buckets)
+let clear reg =
+  Mutex.protect reg.lock (fun () ->
+      Hashtbl.reset reg.stars;
+      Hashtbl.reset reg.buckets)
 
 (* A node's bit-string relabelling: its distance to the centre in
    unary, then its label, then (when identifiers are part of the type)
@@ -55,7 +60,42 @@ let invariant ball =
     sigs;
   Buffer.contents b
 
-let classify reg g ~ids ~radius ~keep u =
+(* A radius-1 ball in which no two neighbours are adjacent is a star:
+   a centre-fixing isomorphism only has to match neighbours of equal
+   code, so the centre's code and the sorted neighbour codes, each
+   behind its length, are a complete invariant, and the sorted order is
+   the canonical one. *)
+let star reg g ~ids ~keep u =
+  let code_of ~dist v = code ~dist (G.label g v) (Option.map (fun ids -> ids.(v)) ids) in
+  let nbrs = Array.of_list (List.map (fun v -> (code_of ~dist:1 v, v)) (G.neighbours g u)) in
+  Array.sort
+    (fun (c, v) (c', v') -> match String.compare c c' with 0 -> Int.compare v v' | o -> o)
+    nbrs;
+  let b = Buffer.create 64 in
+  let add c =
+    Buffer.add_string b (string_of_int (String.length c));
+    Buffer.add_char b ':';
+    Buffer.add_string b c
+  in
+  add (code_of ~dist:0 u);
+  Array.iter (fun (c, _) -> add c) nbrs;
+  let key = Buffer.contents b in
+  let number =
+    Mutex.protect reg.lock (fun () ->
+        match Hashtbl.find_opt reg.stars key with
+        | Some t -> t
+        | None ->
+            let t = Atomic.fetch_and_add reg.next 1 in
+            Hashtbl.add reg.stars key t;
+            t)
+  in
+  (number, if keep = 0 then [| u |] else Array.append [| u |] (Array.map snd nbrs))
+
+let triangle_free g u =
+  G.fold_neighbours g u ~init:true ~f:(fun ok v ->
+      ok && G.fold_neighbours g v ~init:true ~f:(fun ok w -> ok && (w = u || not (G.has_edge g u w))))
+
+let bucketed reg g ~ids ~radius ~keep u =
   let ind = N.r_neighbourhood g ~radius u in
   let m = G.card ind.N.subgraph in
   let dist = Array.make m 0 in
@@ -67,7 +107,9 @@ let classify reg g ~ids ~radius ~keep u =
     G.with_labels ind.N.subgraph
       (Array.init m (fun i -> code ~dist:dist.(i) (G.label ind.N.subgraph i) (ident i)))
   in
-  let key = invariant ball in
+  (* representatives carry the members within [keep], so callers with
+     another [keep] at the same radius get buckets of their own *)
+  let key = string_of_int keep ^ "|" ^ invariant ball in
   let bucket () = Option.value ~default:[] (Hashtbl.find_opt reg.buckets key) in
   let known = Mutex.protect reg.lock bucket in
   let matched rep =
@@ -84,3 +126,7 @@ let classify reg g ~ids ~radius ~keep u =
       let rep = { number = Atomic.fetch_and_add reg.next 1; ball; members } in
       Mutex.protect reg.lock (fun () -> Hashtbl.replace reg.buckets key (rep :: bucket ()));
       (rep.number, Array.map ind.N.of_sub members)
+
+let classify reg g ~ids ~radius ~keep u =
+  if radius = 1 && triangle_free g u then star reg g ~ids ~keep u
+  else bucketed reg g ~ids ~radius ~keep u

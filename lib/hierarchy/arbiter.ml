@@ -36,16 +36,30 @@ let opaque_checker _g ~ids:_ = None
    as equivalent.
 
    Verdicts are memoised per ball type. Each centre is filed once per
-   (graph, ids) under its {!Lph_graph.Ball_type}: the ball up to
-   isomorphisms that fix the centre and preserve labels, and identifiers
-   too unless the arbiter is declared oblivious. The one (type, member
-   certificates in the type's order) -> verdict table outlives graphs,
-   so an oblivious verifier runs once per ball type and certificate
-   pattern, however many centres and graphs carry it. A miss runs on
-   the centre's own ball and identifiers. The per-graph filing lives in
-   a {!Lph_graph.Graph_memo} store and dies with its graph; the table's
-   200 000-entry reset, which clears the type registry with it, is its
-   one bound, and [lock] guards it. *)
+   (graph, radius, ids or none) under its {!Lph_graph.Ball_type}: the
+   ball up to isomorphisms that fix the centre and preserve labels, and
+   identifiers too unless the arbiter is declared oblivious. One
+   registry and one set of per-graph filings serve every arbiter and
+   {!ball_type}. The one (type, member certificates in the type's
+   order) -> verdict table per arbiter outlives graphs, so an oblivious
+   verifier runs once per ball type and certificate pattern, however
+   many centres and graphs carry it. A miss runs on the centre's own
+   ball and identifiers. The table's 200 000-entry reset, which clears
+   the type registry with it, is its one bound, and [lock] guards it. *)
+
+let types = Lph_graph.Ball_type.registry ()
+let filings = Graph_memo.create ()
+
+(* centre -> (type, member order), filled lazily; racing domains store
+   equally valid values and an option write is a single pointer store,
+   so sharing the array without a lock is benign *)
+let centre_types ~oblivious ~r g ~ids =
+  let ids = if oblivious then None else Some ids in
+  let filed = Graph_memo.find_or_add filings g (r, ids) (fun () -> Array.make (G.card g) None) in
+  fun u ->
+    if filed.(u) = None then
+      filed.(u) <- Some (Lph_graph.Ball_type.classify types g ~ids ~radius:(max r 1) ~keep:r u);
+    Option.get filed.(u)
 
 (* the member certificates in canonical order, each behind its length
    in base-128 digits (high bit = more follow), so that distinct
@@ -72,23 +86,9 @@ let make_checker ~oblivious ~locality ~verdicts =
   | Ball r, Some verdicts ->
       let radius = max r 1 in
       let lock = Mutex.create () in
-      let types = Lph_graph.Ball_type.registry () in
       let table = Hashtbl.create 256 in
-      let states = Graph_memo.create () in
       fun g ~ids ->
-        (* centre -> (type, member order), filled lazily; racing domains
-           store equally valid values and an option write is a single
-           pointer store, so sharing the array without a lock is benign *)
-        let filed = Graph_memo.find_or_add states g ids (fun () -> Array.make (G.card g) None) in
-        let type_of u =
-          match filed.(u) with
-          | Some t -> t
-          | None ->
-              let ids = if oblivious then None else Some ids in
-              let t = Lph_graph.Ball_type.classify types g ~ids ~radius ~keep:r u in
-              filed.(u) <- Some t;
-              t
-        in
+        let type_of = centre_types ~oblivious ~r g ~ids in
         let run u ~certs =
           let ind = N.r_neighbourhood g ~radius u in
           let sub v = Option.get (ind.N.to_sub v) in
@@ -166,3 +166,8 @@ let decider_accepts t g ~ids =
   t.accepts g ~ids ~certs:[]
 
 let ball_checker t g ~ids = t.checker g ~ids
+
+let ball_type t g ~ids =
+  match t.locality with
+  | Ball r -> centre_types ~oblivious:t.oblivious ~r g ~ids
+  | Opaque -> invalid_arg ("Arbiter.ball_type: arbiter " ^ t.name ^ " is opaque")

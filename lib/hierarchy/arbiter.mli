@@ -55,7 +55,10 @@ type t = {
     ids:Lph_graph.Identifiers.t ->
     (int -> certs:Lph_graph.Certificates.t list -> bool) option;
       (** the locality checker behind {!ball_checker}; hand-rolled
-          arbiters should use {!opaque_checker} *)
+          arbiters should use {!opaque_checker}. The CNF compiler and
+          pruned search still ask every verdict they tabulate through
+          it, once per (ball type, row), so a record update that wraps
+          it sees each of those calls. *)
   accepts :
     Lph_graph.Labeled_graph.t ->
     ids:Lph_graph.Identifiers.t ->
@@ -125,6 +128,24 @@ val ball_checker :
     belongs to the arbiter and outlives graphs, so an oblivious
     verifier runs once per ball type and certificate pattern across
     every centre, solve and graph; a miss runs on [u]'s own ball and
-    identifiers. Each centre's type is found once per (graph,
-    identifier assignment), and that share dies with the graph. The
-    closure is safe to call from parallel domains. *)
+    identifiers. Each centre's type is found once per (graph, radius,
+    identifier use), in filings shared with {!ball_type} that die with
+    the graph. The closure is safe to call from parallel domains. *)
+
+val ball_type :
+  t -> Lph_graph.Labeled_graph.t -> ids:Lph_graph.Identifiers.t -> int -> int * int array
+(** [ball_type t g ~ids u] is the ball type the checker keys [u]'s
+    verdicts on, with the nodes of [N_r(u)] in the type's canonical
+    order, where [Ball r] is the locality the record declares now (a
+    record update of [locality] types at the new radius). Identifiers
+    are part of the type unless the record is [oblivious]. Equal types
+    mean an isomorphism of the balls [N_{max r 1}] that fixes the
+    centres, preserves labels (and identifiers) and carries one order
+    onto the other, so a verdict tabulated at one centre holds at every
+    centre of its type for the corresponding certificates — the basis
+    of per-type compilation ({!Game_sat}) and of pruned search's
+    per-solve tables. Typing shares the checker's per-graph filings:
+    each centre is typed once per (graph, radius, identifier use), and
+    [checker] itself is unchanged. Partially apply to [g] and [ids]
+    once; the closure is safe to call from parallel domains. Raises
+    [Invalid_argument] when [t] is [Opaque]. *)

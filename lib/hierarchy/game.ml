@@ -1,7 +1,6 @@
 module G = Lph_graph.Labeled_graph
 module N = Lph_graph.Neighborhood
 module Certs = Lph_graph.Certificates
-module Parallel = Lph_util.Parallel
 
 type player = Eve | Adam
 
@@ -64,110 +63,110 @@ let resolve : engine -> engine = function `Auto -> engine_of_env () | e -> e
      rejecting completed ball is an immediate witness — any completion
      of the assignment keeps that node rejecting.
 
-   Ball verdicts are memoised on the ball's certificate contents, so
-   re-assignments of nodes outside a ball never re-run the arbiter.
-   Earlier quantifier levels are enumerated in full: their
-   certificates flow into every ball, so no partial-assignment
-   argument applies. *)
+   Verdicts come from per-call byte tables, one per group of centres
+   with one ball type ({!Arbiter.ball_type}) and the same candidates at
+   its canonical members, indexed by the members' candidate indices at
+   every level, so all prefixes of the call share them. A missing entry
+   is asked of the checker once, with "" at every non-member; a hub,
+   whose group has more than [table_cap] rows, asks every time. *)
 
-let pruned_last_level (a : Arbiter.t) g ~ids =
+let table_cap = 1 lsl 12
+
+let pruned_last_level (a : Arbiter.t) g ~ids ~universes =
+  let n = G.card g in
+  let choices =
+    Array.of_list (List.map (fun u -> Array.init n (fun v -> Array.of_list (u v))) universes)
+  in
+  (* with no level or an empty slot there is no assignment at all, which
+     plain enumeration ({!solve}) answers at once *)
   match (a.Arbiter.locality, Arbiter.ball_checker a g ~ids) with
-  | Arbiter.Ball r, Some check ->
-      let n = G.card g in
-      let dist0 = N.distances g 0 in
-      let order = Array.init n Fun.id in
-      Array.sort (fun u v -> compare (dist0.(u), u) (dist0.(v), v)) order;
+  | Arbiter.Ball _, Some check
+    when choices <> [||] && Array.for_all (Array.for_all (fun l -> l <> [||])) choices ->
+      let last = Array.length choices - 1 in
+      let dist0 = N.distances g 0 and order = Array.init n Fun.id in
+      Array.stable_sort (fun u v -> Int.compare dist0.(u) dist0.(v)) order;
       let posidx = Array.make n 0 in
       Array.iteri (fun k v -> posidx.(v) <- k) order;
-      let balls = Array.init n (fun u -> N.ball g ~radius:r u) in
+      let typed = Array.init n (Arbiter.ball_type a g ~ids) in
       let complete_at = Array.make n [] in
       Array.iteri
-        (fun u ball ->
-          let k = List.fold_left (fun acc v -> max acc posidx.(v)) 0 ball in
+        (fun u (_, members) ->
+          let k = Array.fold_left (fun acc v -> max acc posidx.(v)) 0 members in
           complete_at.(k) <- u :: complete_at.(k))
-        balls;
-      let search ~mode ~prefix ~universe =
-        let choices = Array.init n universe in
-        if Array.exists (fun l -> l = []) choices then
-          (* no assignment exists at all: neither an accepting nor a
-             rejecting one, matching plain enumeration ({!solve}) *)
-          None
-        else begin
-          let check_ball memo (current : string array) u =
-            let s = String.concat "\x01" (List.map (fun v -> current.(v)) balls.(u)) in
-            match Hashtbl.find_opt memo (u, s) with
-            | Some b -> b
+        typed;
+      (* type -> (candidates at each (level, canonical member), table) *)
+      let groups = Hashtbl.create 16 in
+      let table =
+        Array.map
+          (fun (ty, members) ->
+            let slots = Array.map (fun level -> Array.map (Array.get level) members) choices in
+            let known = Option.value ~default:[] (Hashtbl.find_opt groups ty) in
+            match List.assoc_opt slots known with
+            | Some t -> t
             | None ->
-                let b = check u ~certs:(prefix @ [ current ]) in
-                Hashtbl.add memo (u, s) b;
-                b
-          in
-          let rec assign memo current k =
-            if k = n then
-              match mode with
-              | `Accepting -> Some (Array.copy current) (* every ball verified on the way *)
-              | `Rejecting -> None (* all balls accept: not a rejection witness *)
-            else List.find_map (try_choice memo current k) choices.(order.(k))
-          and try_choice memo current k c =
-            current.(order.(k)) <- c;
-            let fresh = complete_at.(k) in
-            match mode with
-            | `Accepting ->
-                if List.for_all (check_ball memo current) fresh then
-                  assign memo current (k + 1)
-                else None
-            | `Rejecting ->
-                if List.exists (fun u -> not (check_ball memo current u)) fresh then begin
+                let rows r l = min (table_cap + 1) (r * Array.length l) in
+                let size = Array.fold_left (Array.fold_left rows) 1 slots in
+                let t = Bytes.make (if size > table_cap then 0 else size) '\000' in
+                Hashtbl.replace groups ty ((slots, t) :: known);
+                t)
+          typed
+      in
+      let bufs = Array.map (fun _ -> Array.make n "") choices in
+      let search ~mover ~prefix =
+        let current = Array.make n "" in
+        let certs = Array.of_list (prefix @ [ current ]) in
+        let index l v = Array.find_index (String.equal certs.(l).(v)) choices.(l).(v) in
+        let chosen =
+          Array.init (last + 1) (fun l ->
+              Array.init n (fun v -> Option.value (index l v) ~default:0))
+        in
+        let verdict u =
+          let t = table.(u) and members = snd typed.(u) and row = ref 0 in
+          Array.iteri
+            (fun l level ->
+              Array.iter (fun v -> row := (!row * Array.length level.(v)) + chosen.(l).(v)) members)
+            choices;
+          if Bytes.length t > 0 && Bytes.get t !row <> '\000' then Bytes.get t !row = '\001'
+          else begin
+            Array.iter (fun v -> Array.iteri (fun l c -> bufs.(l).(v) <- c.(v)) certs) members;
+            let b = check u ~certs:(Array.to_list bufs) in
+            Array.iter (fun v -> Array.iter (fun buf -> buf.(v) <- "") bufs) members;
+            if Bytes.length t > 0 then Bytes.set t !row (if b then '\001' else '\002');
+            b
+          end
+        in
+        let rec assign k =
+          if k = n then if mover = Eve then Some (Array.copy current) else None
+          else
+            Array.find_mapi
+              (fun i c ->
+                current.(order.(k)) <- c;
+                chosen.(last).(order.(k)) <- i;
+                if List.for_all verdict complete_at.(k) then assign (k + 1)
+                else if mover = Eve then None
+                else begin
                   for j = k + 1 to n - 1 do
-                    current.(order.(j)) <- List.hd choices.(order.(j))
+                    current.(order.(j)) <- choices.(last).(order.(j)).(0)
                   done;
                   Some (Array.copy current)
-                end
-                else assign memo current (k + 1)
-          in
-          let head = choices.(order.(0)) in
-          (* fan the top-level branching out over domains; small
-             instances stay sequential (domain spawns cost more than
-             the whole search) *)
-          if n >= 8 && List.length head > 1 && Parallel.jobs () > 1 then
-            Parallel.find_map_first
-              (fun c ->
-                let memo = Hashtbl.create 256 and current = Array.make n "" in
-                try_choice memo current 0 c)
-              head
-          else begin
-            let memo = Hashtbl.create 256 and current = Array.make n "" in
-            assign memo current 0
-          end
-        end
+                end)
+              choices.(last).(order.(k))
+        in
+        assign 0
       in
       Some search
   | _ -> None
 
+(* The outer levels are enumerated as {!solve} does; at each leaf the
+   last mover wins iff its search under that prefix finds a witness. *)
 let solve_pruned ~first (a : Arbiter.t) g ~ids ~universes =
-  match (universes, pruned_last_level a g ~ids) with
-  | [], _ | _, None ->
-      solve ~first ~n:(G.card g) ~universes
-        ~arbiter:(fun certs -> a.Arbiter.accepts g ~ids ~certs)
-  | _, Some search ->
-      let n = G.card g in
-      let rec go player universes prefix =
-        match universes with
-        | [] -> assert false
-        | [ last ] -> (
-            match player with
-            | Eve -> Option.is_some (search ~mode:`Accepting ~prefix ~universe:last)
-            | Adam -> Option.is_none (search ~mode:`Rejecting ~prefix ~universe:last))
-        | universe :: rest ->
-            let options = assignments ~n universe in
-            let continue k = go (opponent player) rest (prefix @ [ k ]) in
-            begin
-              match player with
-              | Eve -> Seq.exists continue options
-              | Adam -> Seq.for_all continue options
-            end
-      in
-      go first universes []
+  let n = G.card g and levels = List.length universes in
+  match pruned_last_level a g ~ids ~universes with
+  | None -> solve ~first ~n ~universes ~arbiter:(fun certs -> a.Arbiter.accepts g ~ids ~certs)
+  | Some search ->
+      let mover = if levels mod 2 = 1 then first else opponent first in
+      solve ~first ~n ~universes:(List.filteri (fun l _ -> l < levels - 1) universes)
+        ~arbiter:(fun prefix -> Option.is_some (search ~mover ~prefix) = (mover = Eve))
 
 (* CEGAR game value: the whole game handed to the dueling-solver loop
    of {!Game_cegar}. When CEGAR cannot decide the game (opaque arbiter,
@@ -203,8 +202,8 @@ let eve_witness ?(engine = `Auto) a g ~ids ~universes =
   match universes with
   | [ universe ] -> (
       let pruned () =
-        match pruned_last_level a g ~ids with
-        | Some search -> search ~mode:`Accepting ~prefix:[] ~universe
+        match pruned_last_level a g ~ids ~universes with
+        | Some search -> search ~mover:Eve ~prefix:[]
         | None ->
             Seq.find
               (fun k -> a.Arbiter.accepts g ~ids ~certs:[ k ])

@@ -19,8 +19,8 @@
     ({!Arbiter.locality}): the final quantifier level is assigned node
     by node in BFS order and a subtree is cut (or, for Adam, a
     rejecting witness returned) as soon as one fully-assigned radius-r
-    ball rejects, with ball verdicts memoised on ball contents and the
-    top-level branching fanned out over domains ({!Lph_util.Parallel}).
+    ball rejects, with ball verdicts read from per-solve tables indexed
+    by ball type ({!Arbiter.ball_type}) and candidate indices.
     The CEGAR engine ({!solve_cegar}) compiles the game to CNF
     ({!Game_sat}) and plays every quantifier block as a
     counterexample-guided duel between incremental solvers
@@ -93,7 +93,9 @@ val solve_pruned :
     the last level is a backtracking search over nodes in BFS order
     that stops descending as soon as a fully-assigned ball's verdict
     is decisive. Falls back to {!solve} when the arbiter is
-    [Opaque] or carries no per-node verdict function. *)
+    [Opaque] or carries no per-node verdict function, and when there
+    is no level or some slot has no candidate (no assignment exists,
+    which enumeration settles at once). *)
 
 val solve_cegar :
   first:player ->

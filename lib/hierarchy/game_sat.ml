@@ -15,16 +15,19 @@
      encoding of the finite universes;
    - an acceptance variable [a_u] per node, fixed by the node's
      ball-local verdict table: every combination of candidate
-     selections inside ball(u, r) is asked of
-     {!Arbiter.ball_checker}, and each row becomes one clause — the
-     row's selectors imply [a_u] if the ball accepts, [~a_u] if it
-     rejects. The checker memoises verdicts per ball type, so for an
-     identifier-oblivious arbiter the verifier runs once per (type,
-     row) — 8 times for Σ1 2-col on any cycle — and the remaining
-     rows are table lookups; the clauses are still emitted per node.
-     Over exactly-one selectors that table already is a CNF, the
-     per-node-ball tableau of the Cook–Levin construction with no
-     auxiliary variables;
+     selections inside ball(u, r) is one row, and each row becomes one
+     clause — the row's selectors imply [a_u] if the ball accepts,
+     [~a_u] if it rejects. Nodes are grouped on their ball type
+     ({!Arbiter.ball_type}) and the candidate lists at the type's
+     canonical members; the first node of a group is tabulated
+     through {!Arbiter.ball_checker}, once per row, and every node of
+     the group emits its rows in ascending-member order with the
+     verdict read at the row's canonical index. An identifier-oblivious
+     arbiter is therefore asked once per (type, row) — 8 times for Σ1
+     2-col on any cycle — and the clauses are the ones a per-node
+     tabulation emits. Over exactly-one selectors that table already
+     is a CNF, the per-node-ball tableau of the Cook–Levin construction
+     with no auxiliary variables;
    - a mode variable [m] with clauses [m -> a_u] for every node and
      [~m -> some a_u false], so the SAME solver instance answers both
      leaf questions of the game: assuming [m] asks for an assignment
@@ -47,7 +50,6 @@
 
 module G = Lph_graph.Labeled_graph
 module Graph_memo = Lph_graph.Graph_memo
-module N = Lph_graph.Neighborhood
 module Certs = Lph_graph.Certificates
 module Solver = Lph_boolean.Solver
 
@@ -117,36 +119,61 @@ let exactly_one vars =
   in
   Array.of_list vars :: pairs [] vars
 
-(* The ball-local acceptance table of node [u], one clause per row:
-   every combination of candidate selections for the ball's (level,
-   member) slots is checked, and the row's selectors imply the
-   verdict. [bufs] holds "" at every non-member, as the checker expects,
-   and is restored to that before returning. *)
-let tabulate ~check ~choices ~base ~levels ~bufs ~emit members u =
-  let slots =
-    Array.of_list
-      (List.concat_map (fun l -> List.map (fun v -> (l, v)) members) (List.init levels Fun.id))
+(* The verdict table of one group, filled through [check] at the
+   group's first centre [u]. Its rows run over the (level, canonical
+   member) slots, level-major, the first slot varying slowest, so a
+   row's index is its candidate indices read as one mixed-radix number.
+   [bufs] holds "" at every non-member, as the checker expects, and is
+   restored to that before returning. *)
+let tabulate ~check ~choices ~bufs canon u =
+  let m = Array.length canon in
+  let k = Array.length choices * m in
+  let certs = Array.to_list bufs and verdicts = ref [] in
+  let rec fill j =
+    if j = k then verdicts := check u ~certs :: !verdicts
+    else
+      let l = j / m and v = canon.(j mod m) in
+      List.iter
+        (fun c ->
+          bufs.(l).(v) <- c;
+          fill (j + 1))
+        choices.(l).(v)
   in
-  let k = Array.length slots in
-  let cands = Array.map (fun (l, v) -> Array.of_list choices.(l).(v)) slots in
-  let certs = Array.to_list bufs in
-  let row = Array.make (k + 1) 0 in
+  fill 0;
+  Array.iter (fun buf -> Array.iter (fun v -> buf.(v) <- "") canon) bufs;
+  Array.of_list (List.rev !verdicts)
+
+(* Node [u]'s ball-local acceptance table, one clause per row: every
+   combination of candidate selections for the ball's (level, member)
+   slots, members in ascending order, the first slot varying slowest;
+   the row's selectors imply the verdict of the group's row that picks
+   the same candidates. *)
+let emit_rows ~choices ~base ~emit ~table canon u =
+  let m = Array.length canon in
+  let k = Array.length choices * m in
+  let by_node = Array.init m Fun.id in
+  Array.sort (fun i j -> Int.compare canon.(i) canon.(j)) by_node;
+  let radix = Array.init k (fun s -> List.length choices.(s / m).(canon.(s mod m))) in
+  (* the candidate index picked at each canonical slot *)
+  let picked = Array.make k 0 and row = Array.make (k + 1) 0 in
   let rec fill j =
     if j = k then begin
-      row.(k) <- (if check u ~certs then acc u else -acc u);
+      let idx = ref 0 in
+      Array.iteri (fun s i -> idx := (!idx * radix.(s)) + i) picked;
+      row.(k) <- (if table.(!idx) then acc u else -acc u);
       emit (Array.copy row)
     end
     else
-      let l, v = slots.(j) in
-      Array.iteri
-        (fun i c ->
-          bufs.(l).(v) <- c;
+      let l = j / m and p = by_node.(j mod m) in
+      let v = canon.(p) in
+      List.iteri
+        (fun i _ ->
           row.(j) <- -(base.(l).(v) + i);
+          picked.((l * m) + p) <- i;
           fill (j + 1))
-        cands.(j)
+        choices.(l).(v)
   in
-  fill 0;
-  Array.iter (fun (l, v) -> bufs.(l).(v) <- "") slots
+  fill 0
 
 let compile_uncached (a : Arbiter.t) g ~ids ~choices =
   match (a.Arbiter.locality, Arbiter.ball_checker a g ~ids) with
@@ -162,9 +189,9 @@ let compile_uncached (a : Arbiter.t) g ~ids ~choices =
   | Arbiter.Ball r, Some check ->
       let n = G.card g in
       let levels = Array.length choices in
-      let balls = Array.init n (fun u -> N.ball g ~radius:r u) in
+      let typed = Array.init n (Arbiter.ball_type a g ~ids) in
       let limit = budget () in
-      match table_total ~limit ~choices balls with
+      match table_total ~limit ~choices (Array.map (fun (_, ball) -> Array.to_list ball) typed) with
       | None ->
           Result.Error
             (Lph_util.Error.Resource_exhausted
@@ -180,9 +207,22 @@ let compile_uncached (a : Arbiter.t) g ~ids ~choices =
           let clauses = ref [] in
           let emit c = clauses := c :: !clauses in
           let bufs = Array.init levels (fun _ -> Array.make n "") in
+          (* one table per (ball type, candidate lists at its canonical
+             members), tabulated at the group's first centre *)
+          let groups = Hashtbl.create 16 in
           Array.iteri
-            (fun u members -> tabulate ~check ~choices ~base ~levels ~bufs ~emit members u)
-            balls;
+            (fun u (ty, canon) ->
+              let key = (ty, Array.map (fun level -> Array.map (Array.get level) canon) choices) in
+              let table =
+                match Hashtbl.find_opt groups key with
+                | Some t -> t
+                | None ->
+                    let t = tabulate ~check ~choices ~bufs canon u in
+                    Hashtbl.add groups key t;
+                    t
+              in
+              emit_rows ~choices ~base ~emit ~table canon u)
+            typed;
           (* the finite universes: exactly one candidate per level and node *)
           Array.iteri
             (fun l per_node ->

@@ -2,17 +2,14 @@
 
    Tasks are list elements; workers pull indices from an atomic counter
    and write results into a slot array, so results always come back in
-   input order regardless of which domain ran what. Early-exit
-   combinators ([exists], [for_all], [find_map_first]) share a stop
-   flag; [find_map_first] additionally tracks the lowest hit index so
-   the returned witness is the one sequential evaluation would find.
+   input order regardless of which domain ran what.
 
-   Nested calls (a parallel sweep whose tasks themselves call a parallel
-   solver) run sequentially in the inner layer instead of spawning
-   domains quadratically.
+   Nested calls (a parallel sweep whose tasks themselves run the
+   parallel runner) run sequentially in the inner layer instead of
+   spawning domains quadratically.
 
    Helper domains are PERSISTENT: the first parallel call spawns a
-   shared worker team which later calls (combinators and [with_team]
+   shared worker team which later calls ([map] and [with_team]
    alike) re-dispatch onto through a condition-variable barrier, so a
    long-lived process — the serve daemon dispatching thousands of
    batches — pays the domain-spawn cost once, not per call. The shared
@@ -44,23 +41,22 @@ let spawn f =
 let domains_spawned () = Atomic.get total_spawned
 
 (* Run [task i] for every index, at most [jobs] at a time. [task] must
-   itself decide what to record; [should_stop ()] lets it end the run
-   early. Exceptions from any worker are re-raised in the caller. The
+   itself decide what to record. The first exception from any worker
+   ends the run early and is re-raised in the caller. The
    throwaway-domain path, used only when the shared team is busy. *)
-let drive ~jobs:j ~n ~stop task =
+let drive ~jobs:j ~n task =
   let next = Atomic.make 0 in
   let failure = Atomic.make None in
   let worker () =
     Domain.DLS.set inside_pool true;
     let rec loop () =
-      if (not (Atomic.get stop)) && Atomic.get failure = None then begin
+      if Atomic.get failure = None then begin
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
           (try task i
            with e ->
              let bt = Printexc.get_raw_backtrace () in
-             ignore (Atomic.compare_and_set failure None (Some (e, bt)));
-             Atomic.set stop true);
+             ignore (Atomic.compare_and_set failure None (Some (e, bt))));
           loop ()
         end
       end
@@ -181,7 +177,7 @@ let team_iter t n task =
     Condition.broadcast t.start;
     Mutex.unlock t.mutex;
     (* the calling domain participates; its tasks count as inside the
-       pool so nested combinators degrade to sequential *)
+       pool so nested calls degrade to sequential *)
     let was_inside = Domain.DLS.get inside_pool in
     Domain.DLS.set inside_pool true;
     team_pull t;
@@ -256,12 +252,10 @@ let prewarm ?jobs:j () =
 
 (* Dispatch one batch: on the shared team when the lease is free, on
    throwaway domains otherwise. *)
-let run_batch ~jobs:j ~n ~stop task =
+let run_batch ~jobs:j ~n task =
   match acquire j with
-  | Some t ->
-      Fun.protect ~finally:release (fun () ->
-          team_iter t n (fun i -> if not (Atomic.get stop) then task i))
-  | None -> drive ~jobs:j ~n ~stop task
+  | Some t -> Fun.protect ~finally:release (fun () -> team_iter t n task)
+  | None -> drive ~jobs:j ~n task
 
 let map ?jobs:j f xs =
   let j = effective_jobs j in
@@ -270,54 +264,9 @@ let map ?jobs:j f xs =
     let arr = Array.of_list xs in
     let n = Array.length arr in
     let out = Array.make n None in
-    run_batch ~jobs:j ~n ~stop:(Atomic.make false) (fun i -> out.(i) <- Some (f arr.(i)));
+    run_batch ~jobs:j ~n (fun i -> out.(i) <- Some (f arr.(i)));
     List.init n (fun i -> match out.(i) with Some y -> y | None -> assert false)
   end
-
-let find_map_first ?jobs:j f xs =
-  let j = effective_jobs j in
-  if j <= 1 then List.find_map f xs
-  else begin
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    let out = Array.make n None in
-    let best = Atomic.make max_int in
-    let stop = Atomic.make false in
-    run_batch ~jobs:j ~n ~stop (fun i ->
-        (* indices beyond an already-found witness cannot win; earlier
-           ones are still pulled in order, so the minimum is exact *)
-        if i <= Atomic.get best then
-          match f arr.(i) with
-          | Some _ as hit ->
-              out.(i) <- hit;
-              let rec lower () =
-                let b = Atomic.get best in
-                if i < b && not (Atomic.compare_and_set best b i) then lower ()
-              in
-              lower ();
-              if Atomic.get best = 0 then Atomic.set stop true
-          | None -> ());
-    let rec first i = if i >= n then None else match out.(i) with Some _ as r -> r | None -> first (i + 1) in
-    first 0
-  end
-
-let exists ?jobs:j p xs =
-  let j = effective_jobs j in
-  if j <= 1 then List.exists p xs
-  else begin
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    let stop = Atomic.make false in
-    let found = Atomic.make false in
-    run_batch ~jobs:j ~n ~stop (fun i ->
-        if p arr.(i) then begin
-          Atomic.set found true;
-          Atomic.set stop true
-        end);
-    Atomic.get found
-  end
-
-let for_all ?jobs p xs = not (exists ?jobs (fun x -> not (p x)) xs)
 
 let with_team ?jobs:j f =
   let j = effective_jobs j in

@@ -1,16 +1,16 @@
 (** A small Domain work-pool (OCaml 5 stdlib only, no dependencies).
 
-    All combinators take tasks as list elements, run them on at most
-    [jobs] domains, and are {e deterministic}: the result is identical
-    for every job count, including [jobs:1] (which degenerates to the
-    [List] sequential equivalent and spawns nothing). The job count
+    {!map} takes tasks as list elements, runs them on at most [jobs]
+    domains, and is {e deterministic}: the result is identical for
+    every job count, including [jobs:1] (which degenerates to
+    [List.map] and spawns nothing). The job count
     defaults to [min 4 (Domain.recommended_domain_count ())] and can be
     overridden with the [LPH_JOBS] environment variable (read on every
     call, so tests can toggle it). Nested calls run sequentially in the
     inner layer rather than oversubscribing the machine.
 
     Helper domains persist across calls: the first parallel call spawns
-    a shared worker team that every later combinator and {!with_team}
+    a shared worker team that every later {!map} and {!with_team}
     call re-dispatches onto (two condition-variable broadcasts per
     batch instead of fresh domain spawns), sized to the effective job
     count and resized when [LPH_JOBS] changes. The team is leased with
@@ -41,18 +41,6 @@ val domains_spawned : unit -> int
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map]; results in input order. *)
-
-val exists : ?jobs:int -> ('a -> bool) -> 'a list -> bool
-(** Parallel [List.exists]; stops all workers at the first witness. *)
-
-val for_all : ?jobs:int -> ('a -> bool) -> 'a list -> bool
-(** Parallel [List.for_all]; stops all workers at the first
-    counterexample. *)
-
-val find_map_first : ?jobs:int -> ('a -> 'b option) -> 'a list -> 'b option
-(** Parallel [List.find_map] returning the hit with the {e lowest input
-    index} — the same witness sequential evaluation finds — not merely
-    the first one any domain happens to produce. *)
 
 (** {1 Persistent worker team}
 

@@ -43,6 +43,24 @@ let graph_print g = Format.asprintf "%a" Graph.pp g
 let arb_graph ?max_nodes ?label_bits () =
   QCheck.make ~print:graph_print (gen_graph ?max_nodes ?label_bits ())
 
+(* a random connected graph on 6 to [max_nodes] nodes with random
+   one-bit labels, closed into a triangle on its last three nodes:
+   radius-1 balls with an edge between two neighbours are typed through
+   isomorphism tests, the others as stars. The triangle sits on the
+   fastest-varying nodes of the oracle's enumeration. *)
+let arb_triangle_graph ?(max_nodes = 10) () =
+  QCheck.make ~print:graph_print
+    QCheck.Gen.(
+      int_range 6 max_nodes >>= fun n ->
+      int_range 0 3 >>= fun extra ->
+      int_bound 1_000_000 >>= fun seed ->
+      let g =
+        Generators.random_connected ~rng:(Random.State.make [| seed |]) ~n ~extra_edges:extra ()
+      in
+      let triangle = [ (n - 3, n - 2); (n - 3, n - 1); (n - 2, n - 1) ] in
+      return
+        (Graph.make ~labels:(Graph.labels g) ~edges:(List.sort_uniq compare (Graph.edges g @ triangle))))
+
 (* a random Boolean formula over the given variable pool *)
 let gen_bool_formula ?(vars = [ "p"; "q"; "r" ]) ?(depth = 4) () =
   let open QCheck.Gen in

@@ -23,14 +23,17 @@ let two_level_verifier =
 let engine_equivalence =
   ( "engine:pruned-vs-exhaustive",
     [
-      qcheck ~count:60 "sigma 3col agrees on random graphs"
-        (arb_graph ~max_nodes:5 ())
-        (fun g ->
-          let a = v3 () in
-          let ids = global_ids g in
-          let universes = [ Candidates.color_universe 3 ] in
-          Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
-          = oracle Game.Eve a g ~ids ~universes);
+      (* one arbiter across cases, as in production: its type table
+         carries verdicts from graph to graph. At most 9 nodes: a
+         non-3-colourable 10-node case costs the oracle 3^10 whole-graph
+         runs, about 3 s. *)
+      (let a = v3 () in
+       qcheck ~count:60 "sigma 3col agrees on random graphs" (arb_triangle_graph ~max_nodes:9 ())
+         (fun g ->
+           let ids = global_ids g in
+           let universes = [ Candidates.color_universe 3 ] in
+           Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
+           = oracle Game.Eve a g ~ids ~universes));
       qcheck ~count:60 "pi 2col agrees on random graphs"
         (arb_graph ~max_nodes:5 ())
         (fun g ->
@@ -39,14 +42,16 @@ let engine_equivalence =
           let universes = [ Candidates.color_universe 2 ] in
           Game.pi_accepts ~engine:`Pruned a g ~ids ~universes
           = oracle Game.Adam a g ~ids ~universes);
-      qcheck ~count:40 "sigma counter verifier agrees on random graphs"
-        (arb_graph ~max_nodes:4 ())
-        (fun g ->
-          let a = Arbiter.of_local_algo ~id_radius:1 (Candidates.exact_counter_verifier ~cap:4) in
-          let ids = global_ids g in
-          let universes = [ Candidates.counter_universe ~bound:4 ] in
-          Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
-          = oracle Game.Eve a g ~ids ~universes);
+      (* the verdict reads the centre's label, so a type that ignored
+         labels would share verdicts between selected and unselected
+         centres; two counter values keep the oracle at 2^10 runs *)
+      (let a = Arbiter.of_local_algo ~id_radius:1 (Candidates.exact_counter_verifier ~cap:4) in
+       qcheck ~count:40 "sigma counter verifier agrees on random graphs" (arb_triangle_graph ())
+         (fun g ->
+           let ids = global_ids g in
+           let universes = [ Candidates.counter_universe ~bound:2 ] in
+           Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
+           = oracle Game.Eve a g ~ids ~universes));
       qcheck ~count:25 "sigma2 and pi2 agree for a two-level arbiter"
         (arb_graph ~max_nodes:4 ())
         (fun g ->
@@ -319,6 +324,16 @@ let sat_suite =
              neighbours), which lint's radius rules guard against; the
              whole-graph oracle does not read it *)
           check_bool "oracle: C5 is not 2-colourable" false (oracle Game.Eve r0 g ~ids ~universes);
+          (* a record update of the radius types and tabulates at the new
+             radius: the radius-1 checker, asked with "" beyond the
+             centre, answers as the radius-0 variant does *)
+          let r1_as_r0 = { r1 with Arbiter.locality = Arbiter.Ball 0 } in
+          List.iter
+            (fun e ->
+              check_bool "radius-0 record update = radius-0 variant"
+                (Game.sigma_accepts ~engine:e r0 g ~ids ~universes)
+                (Game.sigma_accepts ~engine:e r1_as_r0 g ~ids ~universes))
+            [ `Cegar; `Pruned ];
           match (Game_sat.compile r1 g ~ids ~universes, Game_sat.compile r0 g ~ids ~universes) with
           | Some i1, Some i0 ->
               check_int "radius-1 instance" 1 (Game_sat.radius i1);
@@ -663,9 +678,161 @@ let min_id_bit_verifier =
       let bit = if least = "" then "" else String.sub least (String.length least - 1) 1 in
       self.Gather.cert = bit && List.for_all (fun e -> e.Gather.cert = bit) nbrs)
 
+(* The ball-table rows as the compiler emitted them before per-type
+   tabulation: one checker call per (node, row), members in ascending
+   order, the first (level, member) slot varying slowest, the row's
+   negated selectors followed by the acceptance variable [2 + u] of
+   the centre, signed by the verdict. *)
+let reference_rows (a : Arbiter.t) g ~ids inst =
+  let r = match a.Arbiter.locality with Arbiter.Ball r -> r | Arbiter.Opaque -> assert false in
+  let check = Option.get (Arbiter.ball_checker a g ~ids) in
+  let n = Graph.card g and levels = Game_sat.levels inst in
+  let rec rows = function
+    | [] -> [ [] ]
+    | (level, node) :: rest ->
+        List.concat_map
+          (fun c -> List.map (fun tail -> (level, node, c) :: tail) (rows rest))
+          (Game_sat.candidates inst ~level ~node)
+  in
+  List.concat_map
+    (fun u ->
+      let members = Neighborhood.ball g ~radius:r u in
+      let slots = List.concat_map (fun l -> List.map (fun v -> (l, v)) members) (List.init levels Fun.id) in
+      List.map
+        (fun row ->
+          let certs = List.init levels (fun _ -> Array.make n "") in
+          List.iter (fun (level, node, c) -> (List.nth certs level).(node) <- c) row;
+          let acc = if check u ~certs then 2 + u else -(2 + u) in
+          Array.of_list
+            (List.map (fun (level, node, c) -> -Game_sat.selector inst ~level ~node c) row @ [ acc ]))
+        (rows slots))
+    (List.init n Fun.id)
+
+(* a node's radius-1 ball with every node relabelled by a bit-string
+   code of (is the centre, label, identifier if [ids]), so that
+   [Isomorphism.find] looks for exactly the maps a ball type promises *)
+let coded_ball g ~ids u =
+  let double s = String.concat "" (List.map (fun c -> String.make 2 c) (List.of_seq (String.to_seq s))) in
+  let code v =
+    (if v = u then "1" else "0") ^ double (Graph.label g v) ^ "01"
+    ^ match ids with Some ids -> double ids.(v) | None -> ""
+  in
+  let ind = Neighborhood.r_neighbourhood g ~radius:1 u in
+  Graph.with_labels ind.Neighborhood.subgraph
+    (Array.init (Graph.card ind.Neighborhood.subgraph) (fun i -> code (ind.Neighborhood.of_sub i)))
+
 let ball_type_suite =
   ( "engine:ball-types",
     [
+      qcheck ~count:60 "star types agree with isomorphism"
+        QCheck.(pair (arb_triangle_graph ()) bool)
+        (fun (g, with_ids) ->
+          (* identifiers repeat, so equal balls with equal identifiers occur *)
+          let ids = Array.init (Graph.card g) (fun u -> if u mod 3 = 0 then "1" else "0") in
+          let a = { (v2 ()) with Arbiter.oblivious = not with_ids } in
+          let type_of = Arbiter.ball_type a g ~ids in
+          let ball = coded_ball g ~ids:(if with_ids then Some ids else None) in
+          let label_of u v = Graph.label (ball u) (Option.get ((Neighborhood.r_neighbourhood g ~radius:1 u).Neighborhood.to_sub v)) in
+          List.for_all
+            (fun u ->
+              List.for_all
+                (fun v ->
+                  let tu, cu = type_of u and tv, cv = type_of v in
+                  let iso = Isomorphism.find (ball u) (ball v) <> None in
+                  (* the canonical orders correspond: position by position
+                     the same codes, edges and non-edges *)
+                  let corresponds () =
+                    Array.length cu = Array.length cv
+                    && Array.for_all2 (fun x y -> label_of u x = label_of v y) cu cv
+                    && Array.for_all
+                         (fun i ->
+                           Array.for_all
+                             (fun j -> Graph.has_edge g cu.(i) cu.(j) = Graph.has_edge g cv.(i) cv.(j))
+                             (Array.init (Array.length cu) Fun.id))
+                         (Array.init (Array.length cu) Fun.id)
+                  in
+                  (tu = tv) = iso && (tu <> tv || corresponds ()))
+                (Graph.nodes g))
+            (Graph.nodes g));
+      quick "typed compile emits the parent's CNF" (fun () ->
+          let oblivious =
+            [
+              ("2-col", v2 (), fun _ _ -> [ Candidates.color_universe 2 ]);
+              ("3-col", v3 (), fun _ _ -> [ Candidates.color_universe 3 ]);
+              ( "robust-2col",
+                Arbiter.of_local_algo ~id_radius:1 Candidates.robust_two_col_verifier,
+                fun _ _ -> robust_universes );
+              ( "counter",
+                Arbiter.of_local_algo ~id_radius:1 (Candidates.exact_counter_verifier ~cap:4),
+                fun _ _ -> [ Candidates.counter_universe ~bound:3 ] );
+            ]
+          (* identifiers make every centre its own type, 93 312 verdict
+             runs on a degree-4 graph of 12 nodes *)
+          and two_factor =
+            ( "two-factor",
+              Arbiter.of_local_algo ~id_radius:2 Candidates.two_factor_verifier,
+              fun g ids -> [ Candidates.two_factor_universe g ids ] )
+          in
+          List.iter
+            (fun (gname, g, arbiters) ->
+              let ids = global_ids g in
+              List.iter
+                (fun (aname, a, universes) ->
+                  let name = aname ^ " " ^ gname in
+                  match Game_sat.compile a g ~ids ~universes:(universes g ids) with
+                  | None -> Alcotest.failf "%s should compile" name
+                  | Some inst ->
+                      let reference = Array.of_list (reference_rows a g ~ids inst) in
+                      let rows = Array.length reference in
+                      check_int (name ^ ": table entries") rows (Game_sat.table_entries inst);
+                      check_bool (name ^ ": rows") true
+                        (Array.sub (Game_sat.clauses inst) 0 rows = reference))
+                arbiters)
+            [
+              ("C7", Generators.cycle 7, two_factor :: oblivious);
+              ("torus 3x4", Generators.torus ~rows:3 ~cols:4 (), oblivious);
+              ( "expander 12",
+                Generators.expander ~rng:(Random.State.make [| 5 |]) ~n:12 ~cycles:2 (),
+                oblivious );
+              ("star 4", Generators.star 4, two_factor :: oblivious);
+            ]);
+      quick "one checker call per (type, row)" (fun () ->
+          (* the public checker wrapped with a counter, as perfbench does *)
+          let calls = Atomic.make 0 in
+          let counted (a : Arbiter.t) =
+            {
+              a with
+              Arbiter.checker =
+                (fun g ~ids ->
+                  Option.map
+                    (fun check u ~certs ->
+                      Atomic.incr calls;
+                      check u ~certs)
+                    (a.Arbiter.checker g ~ids));
+            }
+          in
+          let at_most what bound f =
+            Atomic.set calls 0;
+            f ();
+            let k = Atomic.get calls in
+            check_bool (Printf.sprintf "%s: %d checker calls, at most %d" what k bound) true (k <= bound)
+          in
+          let two = [ Candidates.color_universe 2 ] in
+          let c10000 = Generators.cycle 10_000 and c2001 = Generators.cycle 2001 in
+          let c9 = Generators.cycle 9 in
+          let robust = Arbiter.of_local_algo ~id_radius:1 Candidates.robust_two_col_verifier in
+          (* 80 000 calls, one per (node, row), before per-type tabulation *)
+          at_most "compile Σ1 2-col C10000" 8 (fun () ->
+              ignore (Game_sat.compile (counted (v2 ())) c10000 ~ids:(global_ids c10000) ~universes:two));
+          at_most "pruned Σ1 2-col C2001" 8 (fun () ->
+              ignore
+                (Game.solve_pruned ~first:Game.Eve (counted (v2 ())) c2001 ~ids:(global_ids c2001)
+                   ~universes:two));
+          (* summed over all 512 Eve prefixes *)
+          at_most "pruned Σ2 robust-2col C9" 64 (fun () ->
+              ignore
+                (Game.solve_pruned ~first:Game.Eve (counted robust) c9 ~ids:(global_ids c9)
+                   ~universes:robust_universes)));
       quick "one verdict per ball type" (fun () ->
           (* every verdict runs the verifier on a 3-node path, which
              calls [output] once per node *)
@@ -736,26 +903,6 @@ let parallel_suite =
                 true
                 (Parallel.map ~jobs f xs = List.map f xs))
             [ 1; 2; 4 ]);
-      quick "exists and for_all match the List equivalents" (fun () ->
-          let xs = List.init 60 Fun.id in
-          List.iter
-            (fun jobs ->
-              check_bool "exists hit" true (Parallel.exists ~jobs (fun x -> x = 41) xs);
-              check_bool "exists miss" false (Parallel.exists ~jobs (fun x -> x > 100) xs);
-              check_bool "for_all holds" true (Parallel.for_all ~jobs (fun x -> x < 60) xs);
-              check_bool "for_all fails" false (Parallel.for_all ~jobs (fun x -> x <> 13) xs))
-            [ 1; 4 ]);
-      quick "find_map_first returns the lowest-index witness" (fun () ->
-          let xs = List.init 100 Fun.id in
-          let f x = if x mod 7 = 3 then Some (x * 2) else None in
-          List.iter
-            (fun jobs ->
-              check_bool
-                (Printf.sprintf "jobs=%d" jobs)
-                true
-                (Parallel.find_map_first ~jobs f xs = Some 6))
-            [ 1; 2; 4 ];
-          check_bool "no hit" true (Parallel.find_map_first ~jobs:4 (fun _ -> None) xs = None));
       quick "worker exceptions reach the caller" (fun () ->
           let xs = List.init 32 Fun.id in
           match Parallel.map ~jobs:4 (fun x -> if x = 17 then failwith "boom" else x) xs with
@@ -763,7 +910,6 @@ let parallel_suite =
           | exception Failure m -> check_string "message" "boom" m);
       quick "empty and singleton inputs" (fun () ->
           check_bool "map []" true (Parallel.map ~jobs:4 Fun.id [] = ([] : int list));
-          check_bool "exists []" false (Parallel.exists ~jobs:4 (fun _ -> true) ([] : int list));
           check_bool "map [x]" true (Parallel.map ~jobs:4 succ [ 41 ] = [ 42 ]));
       quick "LPH_JOBS=1 and LPH_JOBS=4 give identical game results" (fun () ->
           let saved = Sys.getenv_opt "LPH_JOBS" in
