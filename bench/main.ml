@@ -1503,6 +1503,14 @@ let bechamel_suite () =
           ignore
             (Game.sigma_accepts ~engine:`Cegar v3 c5 ~ids:ids5
                ~universes:[ Candidates.color_universe 3 ]) );
+      (* one graph object for every run, so all runs after the first
+         time the warm solve a resident daemon key repeats *)
+      ( "game/2col-C2000-pruned",
+        let v2 = Arbiter.of_local_algo ~id_radius:1 (Candidates.color_verifier 2) in
+        let c2000 = Generators.cycle 2000 in
+        let ids2000 = Identifiers.make_global c2000 in
+        let u2 = [ Candidates.color_universe 2 ] in
+        fun () -> ignore (Game.sigma_accepts ~engine:`Pruned v2 c2000 ~ids:ids2000 ~universes:u2) );
       ( "game/sigma2-2col-C9-cegar",
         let robust = Arbiter.of_local_algo ~id_radius:1 Candidates.robust_two_col_verifier in
         let c9 = Generators.cycle 9 in

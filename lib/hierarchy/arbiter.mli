@@ -144,7 +144,7 @@ val ball_type :
     onto the other, so a verdict tabulated at one centre holds at every
     centre of its type for the corresponding certificates — the basis
     of per-type compilation ({!Game_sat}) and of pruned search's
-    per-solve tables. Typing shares the checker's per-graph filings:
+    per-call tables. Typing shares the checker's per-graph filings:
     each centre is typed once per (graph, radius, identifier use), and
     [checker] itself is unchanged. Partially apply to [g] and [ids]
     once; the closure is safe to call from parallel domains. Raises

@@ -51,11 +51,15 @@ let color_verifier k =
       mine < k
       && List.for_all (fun e -> cert_value e <> mine && cert_value e < k) (ball_neighbours ball))
 
-let encodings bound = List.init bound B.of_int
+(* one list per universe, handed to every node, so that the engines'
+   cache keys over materialised universes compare by pointer *)
+let encodings bound =
+  let all = List.init bound B.of_int in
+  fun _u -> all
 
-let color_universe k _u = encodings k
+let color_universe k = encodings k
 
-let counter_universe ~bound _u = encodings bound
+let counter_universe ~bound = encodings bound
 
 let exact_counter_verifier ~cap =
   LA.oblivious

@@ -32,7 +32,9 @@ val color_verifier : int -> Lph_machine.Local_algo.packed
 
 val color_universe : int -> Game.universe
 (** The matching restrictive certificate universe: the binary encodings
-    of 0 .. k-1. *)
+    of 0 .. k-1. The list is built once per [color_universe k] and
+    every node gets that same list, so cache keys over the
+    materialised universe compare by pointer. *)
 
 val exact_counter_verifier : cap:int -> Lph_machine.Local_algo.packed
 (** Candidate verifier for NOT-ALL-SELECTED with certificates bounded
@@ -65,7 +67,8 @@ val robust_two_col_verifier : Lph_machine.Local_algo.packed
 
 val counter_universe : bound:int -> Game.universe
 (** Binary encodings of 0 .. bound-1 (certificate candidates for the
-    counter verifiers). *)
+    counter verifiers), one list shared by every node as in
+    {!color_universe}. *)
 
 val honest_mod_certs : period:int -> n:int -> Lph_graph.Certificates.t
 (** The honest prover's certificates for {!mod_counter_verifier} on the

@@ -19,8 +19,11 @@
     ({!Arbiter.locality}): the final quantifier level is assigned node
     by node in BFS order and a subtree is cut (or, for Adam, a
     rejecting witness returned) as soon as one fully-assigned radius-r
-    ball rejects, with ball verdicts read from per-solve tables indexed
-    by ball type ({!Arbiter.ball_type}) and candidate indices.
+    ball rejects, with ball verdicts read from per-call tables indexed
+    by ball type ({!Arbiter.ball_type}) and candidate indices. What
+    the search derives from the instance (assignment order, each
+    centre's group and members) is memoised per (graph, ball typing,
+    candidates) and dies with the graph.
     The CEGAR engine ({!solve_cegar}) compiles the game to CNF
     ({!Game_sat}) and plays every quantifier block as a
     counterexample-guided duel between incremental solvers
@@ -37,7 +40,10 @@ type universe = int -> string list
 (** Per-node certificate candidates (node index -> choices). *)
 
 val bitstring_universe : max_len:int -> universe
-(** All bit strings of length at most [max_len], for every node. *)
+(** All bit strings of length at most [max_len], for every node. The
+    list is built once per [bitstring_universe ~max_len] and every
+    node gets that same list, so cache keys over the materialised
+    universe compare by pointer. *)
 
 val bounded_universe :
   Lph_graph.Labeled_graph.t ->
@@ -92,10 +98,21 @@ val solve_pruned :
     arbiter for every input. Earlier levels are enumerated in full;
     the last level is a backtracking search over nodes in BFS order
     that stops descending as soon as a fully-assigned ball's verdict
-    is decisive. Falls back to {!solve} when the arbiter is
+    is decisive. The search's plan is built once per graph and key —
+    the locality, the identifier use, the identifiers unless the
+    arbiter is oblivious, and the candidate lists — and never holds a
+    verdict or the checker, which each call takes afresh from
+    {!Arbiter.ball_checker}. Falls back to {!solve} when the arbiter is
     [Opaque] or carries no per-node verdict function, and when there
     is no level or some slot has no candidate (no assignment exists,
     which enumeration settles at once). *)
+
+val graph_plans : Lph_graph.Labeled_graph.t -> int
+(** How many pruned-search plans are memoised for the graph, one per
+    (locality, identifier use, identifiers unless oblivious, candidate
+    lists) that {!solve_pruned} met on it. A plan holds O(n) words —
+    the candidate arrays, the assignment order and each centre's group
+    — and dies with the graph; the daemon's cache bound charges it. *)
 
 val solve_cegar :
   first:player ->

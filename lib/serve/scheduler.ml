@@ -15,8 +15,9 @@
 
    The entry cache is LRU-BOUNDED by an estimated byte cost
    ([LPH_SERVE_CACHE_MB], default 256): after each batch, entries are
-   re-costed from their graph size plus the compiled ball tables
-   ({!Game_sat.graph_table_entries}), and least-recently-used entries
+   re-costed from their graph size, the compiled ball tables
+   ({!Game_sat.graph_table_entries}) and the pruned-search plans
+   ({!Game.graph_plans}), and least-recently-used entries
    are evicted until the estimate is back under the bound. Evicting an
    entry drops its graph reference, and everything the engines derived
    from that graph lives in {!Lph_graph.Graph_memo} stores that die
@@ -113,15 +114,24 @@ let queue_cap_env () =
 
    An estimate, not an audit: CSR rows and id strings for the graph,
    plus the compiled ball tables on both engine caches at ~128 bytes
-   per tabulated configuration (clause + selector footprint). Wrong by
-   a constant factor at worst, monotone in reality — which is all an
-   LRU bound needs. *)
+   per tabulated configuration (clause + selector footprint), plus
+   [plan_bytes] per node for each pruned-search plan. A plan and its
+   key read 128 B/node for 2-col on cycles, 136 for 3-col C1000 and
+   145-154 on the 16x16 and 20x20 tori by [Obj.reachable_words], which
+   also counts the member arrays the plan shares with the ball-type
+   filings. Wrong by a constant factor at worst, monotone in reality —
+   which is all an LRU bound needs. *)
 
 let graph_bytes g =
   let ids_overhead = 32 * G.card g in
   (16 * G.card g) + (16 * G.num_edges g) + ids_overhead
 
-let entry_cost e = graph_bytes e.graph + (128 * Game_sat.graph_table_entries e.graph)
+let plan_bytes = 144
+
+let entry_cost e =
+  graph_bytes e.graph
+  + (128 * Game_sat.graph_table_entries e.graph)
+  + (plan_bytes * G.card e.graph * Game.graph_plans e.graph)
 
 (* Everything derived from the graph lives in per-graph memo stores, so
    dropping the entry's graph reference frees it. *)

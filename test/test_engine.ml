@@ -91,6 +91,46 @@ let engine_equivalence =
           check_bool "pruned follows the checker" false
             (Game.sigma_accepts ~engine:`Pruned lying g ~ids ~universes);
           check_bool "oracle: C4 is 2-colourable" true (oracle Game.Eve lying g ~ids ~universes));
+      quick "a record-updated checker is read per call" (fun () ->
+          (* the update keeps the arbiter's id and the graph is the
+             same object, so only a checker taken per call sees it *)
+          let a = v2 () in
+          let rejecting =
+            { a with Arbiter.checker = (fun _ ~ids:_ -> Some (fun _ ~certs:_ -> false)) }
+          in
+          let g = Generators.cycle 4 in
+          let ids = global_ids g and universes = [ Candidates.color_universe 2 ] in
+          let pruned a = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes in
+          check_bool "2-col verifier" true (pruned a);
+          check_bool "every ball rejected" false (pruned rejecting);
+          check_bool "2-col verifier again" true (pruned a));
+      quick "one graph, two universes" (fun () ->
+          (* one arbiter on one graph object under two candidate sets,
+             in both orders: what pruned search memoises for the first
+             must not answer the second *)
+          let a = v2 () in
+          let two = ("two colours", [ Candidates.color_universe 2 ], true)
+          and one = ("one colour", [ Game.of_choices [ "0" ] ], false) in
+          List.iter
+            (fun cases ->
+              let g = Generators.cycle 4 in
+              let ids = global_ids g in
+              List.iter
+                (fun (name, universes, expected) ->
+                  let value = oracle Game.Eve a g ~ids ~universes in
+                  check_bool (name ^ ": oracle") expected value;
+                  check_bool (name ^ ": pruned") value
+                    (Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes))
+                cases)
+            [ [ two; one ]; [ one; two ] ]);
+      quick "constant universes hand back one list" (fun () ->
+          (* the engines' cache keys hold a universe's list per node, so
+             one shared list makes building and comparing them a pointer
+             per node *)
+          let shared name (u : Game.universe) = check_bool name true (u 0 == u 7) in
+          shared "color_universe" (Candidates.color_universe 3);
+          shared "counter_universe" (Candidates.counter_universe ~bound:5);
+          shared "bitstring_universe" (Game.bitstring_universe ~max_len:2));
       quick "known verdicts survive the pruned engine" (fun () ->
           let a2 = v2 () and a3 = v3 () in
           let check_cycle n k expected =
@@ -320,6 +360,8 @@ let sat_suite =
               check_bool "radius 0 accepts every colouring" true
                 (Game.sigma_accepts ~engine:e r0 g ~ids ~universes))
             [ `Cegar; `Pruned ];
+          check_bool "radius 1 after radius 0 on one graph" false
+            (Game.sigma_accepts ~engine:`Pruned r1 g ~ids ~universes);
           (* the declaration is false (the verifier reads its
              neighbours), which lint's radius rules guard against; the
              whole-graph oracle does not read it *)
@@ -860,6 +902,11 @@ let ball_type_suite =
       quick "identifier-reading arbiters never share a verdict across centres" (fun () ->
           let a = Arbiter.of_local_algo ~id_radius:2 min_id_bit_verifier in
           let bits = [ Game.of_choices [ "0"; "1" ] ] in
+          (* before each game an oblivious arbiter of the same radius
+             solves on the same graph object under the same universes,
+             so whatever it memoises there groups centres without their
+             identifiers *)
+          let anonymous = v2 () in
           List.iter
             (fun (name, g) ->
               let ids = global_ids g in
@@ -867,6 +914,7 @@ let ball_type_suite =
               check_bool (name ^ ": oracle") false expected;
               List.iter
                 (fun (e, engine) ->
+                  ignore (Game.sigma_accepts ~engine anonymous g ~ids ~universes:bits);
                   check_bool (name ^ ": " ^ e) expected
                     (Game.sigma_accepts ~engine a g ~ids ~universes:bits))
                 [ ("pruned", `Pruned); ("cegar", `Cegar) ])
@@ -884,6 +932,7 @@ let ball_type_suite =
               let expected = oracle Game.Eve tf g ~ids ~universes in
               List.iter
                 (fun engine ->
+                  ignore (Game.sigma_accepts ~engine anonymous g ~ids ~universes);
                   check_bool "two-factor" expected
                     (Game.sigma_accepts ~engine tf g ~ids ~universes))
                 [ `Pruned; `Cegar ])
